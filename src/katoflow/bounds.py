@@ -318,6 +318,22 @@ def corollary_B_constant(vj_terms, vij_terms, K, alpha, t):
 # ---------------------------------------------------------------------------
 
 
+def _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, grid_step, workers):
+    """Feynman-Kac estimates of e^{-tH_V}Phi keyed by each distinct pair point.
+
+    The i-th point in sorted order draws from substream (seed, i); the
+    alpha=0 certificate that admits V is computed once for all points."""
+    points = sorted({tuple(np.asarray(p, dtype=float)) for pair in pairs for p in pair})
+    kato0 = pot.kato_integral(V, 0.0, t)
+    return {
+        key: fk.fk_evaluate(
+            V, phi, np.array(key), t, n_paths, seed=streams.combine_seed(seed, i),
+            grid_step=grid_step, kato0=kato0, workers=workers, check_bound=False,
+        )
+        for i, key in enumerate(points)
+    }
+
+
 def verify_main_theorem(
     V,
     phi,
@@ -348,24 +364,7 @@ def verify_main_theorem(
     khash = fk.khashminskii_certify(V, t)
     a_val = A_constant(V, K, alpha, t, khash.bound_on_C_exp)
     cap = holder_cap(K, t, alpha) + a_val
-    points = {}
-    for x, y in pairs:
-        for p in (x, y):
-            points[tuple(np.asarray(p, dtype=float))] = None
-    estimates = {}
-    for idx, key in enumerate(sorted(points)):
-        estimates[key] = fk.fk_evaluate(
-            V,
-            phi,
-            np.array(key),
-            t,
-            n_paths,
-            seed=streams.combine_seed(seed, idx),
-            grid_step=grid_step,
-            kato0=pot.kato_integral(V, 0.0, t),
-            workers=workers,
-            check_bound=False,
-        )
+    estimates = _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, grid_step, workers)
     rows = []
     worst_q, worst_orig = 0.0, None
     all_hold = True
@@ -505,19 +504,7 @@ def fit_blowup_exponent(alphas, values):
 
 def measured_holder_quotient_mc(V, phi, alpha, t, pairs, n_paths, seed, workers=1):
     """(max quotient, stderr at the witness) of e^{-tH_V}Phi over a pair grid."""
-    space = V.space
-    points = {}
-    for x, y in pairs:
-        for p in (x, y):
-            points[tuple(np.asarray(p, dtype=float))] = None
-    cert = pot.kato_integral(V, 0.0, t)
-    est = {
-        key: fk.fk_evaluate(
-            V, phi, np.array(key), t, n_paths, seed=streams.combine_seed(seed, i), kato0=cert,
-            workers=workers, check_bound=False
-        )
-        for i, key in enumerate(sorted(points))
-    }
+    est = _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, None, workers)
     best, best_se = 0.0, 0.0
     for x, y in pairs:
         kx, ky = tuple(np.asarray(x, float)), tuple(np.asarray(y, float))

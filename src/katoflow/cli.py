@@ -755,6 +755,20 @@ SUITES = {
 # ---------------------------------------------------------------------------
 
 
+_TYPE_NAMES = {list: "a list", dict: "an object", int: "a number",
+               float: "a number", bool: "true or false", str: "a string",
+               type(None): "null"}
+
+
+def _accepts(expected, value):
+    """Whether a JSON value fits a schema type; true/false is never a number."""
+    if isinstance(expected, tuple):
+        return any(_accepts(e, value) for e in expected)
+    if expected in (int, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, expected)
+
+
 def _validate(suite, supplied):
     _fn, schema = SUITES[suite]
     params = {}
@@ -762,12 +776,12 @@ def _validate(suite, supplied):
         if key not in schema:
             raise ConfigError(f"unknown key {suite}.{key}")
         default, expected = schema[key]
-        if expected is list and not isinstance(value, list):
-            raise ConfigError(f"{suite}.{key} must be a list")
-        if expected is dict and not isinstance(value, dict):
-            raise ConfigError(f"{suite}.{key} must be an object")
-        if expected in (int, float) and not isinstance(value, (int, float)):
-            raise ConfigError(f"{suite}.{key} must be a number")
+        if not _accepts(expected, value):
+            names = expected if isinstance(expected, tuple) else (expected,)
+            raise ConfigError(
+                f"{suite}.{key} must be "
+                + " or ".join(_TYPE_NAMES[e] for e in names)
+            )
         params[key] = value
     for key, (default, _expected) in schema.items():
         params.setdefault(key, default)

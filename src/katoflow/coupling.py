@@ -46,7 +46,7 @@ def reflect_couple(space, x, y, horizon, grid_step, rng):
         raise UnsupportedStrategyError("reflection coupling implemented on R^d only")
     x = space.check_point(x)
     y = space.check_point(y)
-    times = _grid(horizon, grid_step)
+    times, _steps = _grid(horizon, grid_step)
     n_steps = len(times) - 1
     d = space.dimension
     xs = np.empty((n_steps + 1, d))
@@ -85,7 +85,7 @@ def synchronous_couple(space, x, y, horizon, grid_step, rng):
     """Both legs driven by identical increments; never couples on R^d."""
     x = space.check_point(x)
     y = space.check_point(y)
-    times = _grid(horizon, grid_step)
+    times, _steps = _grid(horizon, grid_step)
     n_steps = len(times) - 1
     started_equal = bool(np.array_equal(x, y))
     if space.kind == "euclidean":
@@ -127,7 +127,7 @@ def simulate_reflection_taus(separation, horizon, grid_step, n_runs, seed, worke
     Returned taus are grid times (k+1)*h bracketing the true crossing, so
     survival indicators {tau > t} are exact for grid-aligned t.
     """
-    times = _grid(horizon, grid_step)
+    times, _steps = _grid(horizon, grid_step)
     n_steps = len(times) - 1
     u0 = -0.5 * float(separation)
 
@@ -160,7 +160,7 @@ def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, worke
     x = space.check_point(x)
     y = space.check_point(y)
     sep, mid, e = _mirror_frame(x, y)
-    times = _grid(t, grid_step)
+    times, _steps = _grid(t, grid_step)
     n_steps = len(times) - 1
     d = space.dimension
 

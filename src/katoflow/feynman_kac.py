@@ -90,16 +90,8 @@ def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
     (path_index_array, interval_length, v_left_array, v_right_array).
     """
     h = t / n_steps
-    if space.kind == "euclidean":
-        d = space.dimension
-        incr = rng.standard_normal((size, n_steps, d)) * math.sqrt(2.0 * h)
-        pts = np.empty((size, n_steps + 1, d))
-        pts[:, 0, :] = x
-        np.cumsum(incr, axis=1, out=pts[:, 1:, :])
-        pts[:, 1:, :] += x
-    else:
-        d = space.embedding_dim
-        _times, pts = paths.sample_paths_batch(space, x, t, h, size, rng)
+    d = space.embedding_dim
+    _times, pts = paths.sample_paths_batch(space, x, t, h, size, rng)
     ends = pts[:, -1, :].copy()
 
     flat = pts.reshape(-1, d)
@@ -181,6 +173,32 @@ def _actions_from_leaves(leaves, size, lo, hi):
     return action
 
 
+def _fk_ladder(V, psi, x, t, n_paths, seed, n_steps, tol, max_depth, clips,
+               workers):
+    """(n, means, stderrs, n_leaves) of exp(-action) * psi(end) per clip level.
+
+    Every ``(lo, hi)`` in ``clips`` clips V on the same paths and leaves
+    (common random numbers); the chunks draw from the ``TAG_FK`` streams."""
+    space = V.space
+
+    def chunk(rng, size, _k):
+        ends, leaves = _chunk_leaves(
+            space, V, x, t, size, rng, n_steps, tol, max_depth
+        )
+        pvals = np.asarray(psi(ends), dtype=float)
+        sums = np.empty(len(clips))
+        sqs = np.empty(len(clips))
+        for i, (lo, hi) in enumerate(clips):
+            w = np.exp(-_actions_from_leaves(leaves, size, lo, hi)) * pvals
+            sums[i] = w.sum()
+            sqs[i] = (w * w).sum()
+        return size, sums, sqs, sum(p[0].size for p in leaves)
+
+    parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
+    n, means, stderrs = streams.merge_chunks(p[:3] for p in parts)
+    return n, means, stderrs, sum(p[3] for p in parts)
+
+
 def _kato_gate(V, t, kato0):
     """Feynman-Kac admissibility: Kato certificate or a finite lower bound."""
     if V.is_zero or V.lower_bound is not None:
@@ -228,46 +246,16 @@ def fk_evaluate(
     n_steps = max(1, int(round(t / grid_step)))
     grid_step = t / n_steps
 
-    if V.is_zero:
-        # conservative kernel: no variance at all for constant psi
-        pass
-
     caps = (1.0 / eps0) * 2.0 ** np.arange(_CAP_LEVELS)
     lo_bound = V.lower_bound  # finite => negative clipping is inert
-
-    def chunk(rng, size, _k):
-        ends, leaves = _chunk_leaves(
-            space, V, x, t, size, rng, n_steps, tol, max_depth
-        )
-        pvals = np.asarray(psi(ends), dtype=float)
-        sums = np.empty(_CAP_LEVELS)
-        sqs = np.empty(_CAP_LEVELS)
-        n_leaves = sum(p[0].size for p in leaves)
-        for k, cap in enumerate(caps):
-            lo = -cap if lo_bound is None else max(-cap, lo_bound)
-            action = _actions_from_leaves(leaves, size, lo, cap)
-            w = np.exp(-action) * pvals
-            sums[k] = w.sum()
-            sqs[k] = (w * w).sum()
-        return sums, sqs, size, n_leaves
-
-    parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
-    sums = np.sum([p[0] for p in parts], axis=0)
-    sqs = np.sum([p[1] for p in parts], axis=0)
-    n = sum(p[2] for p in parts)
-    n_leaves = sum(p[3] for p in parts)
-    means = sums / n
-    ses = np.sqrt(np.maximum(sqs / n - means**2, 0.0) / n)
-    k_star = _CAP_LEVELS - 1
-    for k in range(1, _CAP_LEVELS):
-        if abs(means[k] - means[k - 1]) <= 0.5 * ses[k]:
-            k_star = k
-            break
+    clips = [(-cap if lo_bound is None else max(-cap, lo_bound), cap) for cap in caps]
+    n, means, ses, n_leaves = _fk_ladder(
+        V, psi, x, t, n_paths, seed, n_steps, tol, max_depth, clips, workers
+    )
+    k_star, settled = streams.settle_level(means, ses)
     value = float(means[k_star])
     stderr = float(ses[k_star])
-    flags = []
-    if k_star == _CAP_LEVELS - 1 and abs(means[-1] - means[-2]) >= 0.5 * ses[-1]:
-        flags.append("cap_ladder_not_converged")
+    flags = [] if settled else ["cap_ladder_not_converged"]
     sup_psi = getattr(psi, "sup_norm", None)
     if check_bound and sup_psi is not None:
         c_exp = None
@@ -387,33 +375,16 @@ def truncation_ladder(
 
     With shared paths the monotonicity of the capped action is path-wise
     exact: estimates decrease in m and increase in n (for psi >= 0)."""
-    space = V.space
-    x = space.check_point(x)
+    x = V.space.check_point(x)
     if grid_step is None:
         grid_step = t / 100.0
     n_steps = max(1, int(round(t / grid_step)))
     levels = [(float(n), float(m)) for n, m in levels]
-
-    def chunk(rng, size, _k):
-        ends, leaves = _chunk_leaves(
-            space, V, x, t, size, rng, n_steps, tol, max_depth
-        )
-        pvals = np.asarray(psi(ends), dtype=float)
-        sums = np.empty(len(levels))
-        sqs = np.empty(len(levels))
-        for i, (n_low, m_high) in enumerate(levels):
-            action = _actions_from_leaves(leaves, size, -n_low, m_high)
-            w = np.exp(-action) * pvals
-            sums[i] = w.sum()
-            sqs[i] = (w * w).sum()
-        return sums, sqs, size
-
-    parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
-    sums = np.sum([p[0] for p in parts], axis=0)
-    sqs = np.sum([p[1] for p in parts], axis=0)
-    n = sum(p[2] for p in parts)
-    means = (sums / n).tolist()
-    ses = np.sqrt(np.maximum(sqs / n - np.asarray(means) ** 2, 0.0) / n).tolist()
+    _n, means, ses, _leaves = _fk_ladder(
+        V, psi, x, t, n_paths, seed, n_steps, tol, max_depth,
+        [(-n_low, m_high) for n_low, m_high in levels], workers
+    )
+    means, ses = means.tolist(), ses.tolist()
 
     mono_m = True
     mono_n = True

@@ -38,39 +38,35 @@ class PathSkeleton:
 
 
 def _grid(horizon, grid_step):
+    """(times, steps) on [0, horizon]: n steps of exactly horizon/n when
+    grid_step divides horizon, else steps of grid_step closed by a shorter one."""
     n = int(round(horizon / grid_step))
     if abs(n * grid_step - horizon) < 1e-12 * max(1.0, horizon) and n >= 1:
-        return np.linspace(0.0, horizon, n + 1)
-    times = np.arange(0.0, horizon, grid_step)
-    return np.append(times, horizon)
+        return np.linspace(0.0, horizon, n + 1), np.full(n, horizon / n)
+    times = np.append(np.arange(0.0, horizon, grid_step), horizon)
+    return times, np.diff(times)
 
 
 def sample_path(space, x, horizon, grid_step, rng, seed=None):
     """Skeleton on the uniform grid {0, h, 2h, ..., horizon}."""
+    times, pts = sample_paths_batch(space, x, horizon, grid_step, 1, rng)
+    return PathSkeleton(space, times, pts[0], {"seed": seed, "refinements": []})
+
+
+def sample_paths_batch(space, x, horizon, grid_step, n, rng):
+    """(times, positions of shape (n, n_times, dim)) of n paths on the grid.
+
+    Euclidean steps are exact Gaussian transitions; sphere steps use the
+    geodesic walk of ``StateSpace``."""
     if horizon <= 0:
         raise TimeDomainError("horizon must be > 0")
     if not 0 < grid_step <= horizon:
         raise TimeDomainError("need 0 < grid_step <= horizon")
     x = space.check_point(x)
-    times = _grid(horizon, grid_step)
-    pts = np.empty((len(times), space.embedding_dim))
-    pts[0] = x
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        pts[i] = space.sample_transition(dt, pts[i - 1], rng)
-    return PathSkeleton(space, times, pts, {"seed": seed, "refinements": []})
-
-
-def sample_paths_batch(space, x, horizon, grid_step, n, rng):
-    """(n, n_times, dim) positions on the uniform grid; Euclidean fast path."""
-    if horizon <= 0:
-        raise TimeDomainError("horizon must be > 0")
-    x = space.check_point(x)
-    times = _grid(horizon, grid_step)
+    times, steps = _grid(horizon, grid_step)
     if space.kind == "euclidean":
         d = space.dimension
-        dts = np.diff(times)
-        incr = rng.standard_normal((n, len(dts), d)) * np.sqrt(2.0 * dts)[None, :, None]
+        incr = rng.standard_normal((n, len(steps), d)) * np.sqrt(2.0 * steps)[None, :, None]
         pts = np.empty((n, len(times), d))
         pts[:, 0, :] = x
         np.cumsum(incr, axis=1, out=pts[:, 1:, :])
@@ -80,7 +76,7 @@ def sample_paths_batch(space, x, horizon, grid_step, n, rng):
     pts[:, 0, :] = x
     cur = np.tile(x, (n, 1))
     for i in range(1, len(times)):
-        cur = space._sphere_walk(times[i] - times[i - 1], cur, rng)
+        cur = space._sphere_walk(steps[i - 1], cur, rng)
         pts[:, i, :] = cur
     return times, pts
 

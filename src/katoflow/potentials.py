@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 from . import streams
 from .errors import (
@@ -535,7 +535,7 @@ def _blowup_exponent_estimate(V, t):
     return float(slope)
 
 
-def _quadrature_bound(V, alpha, t, extra_weight=None, polish=False):
+def _quadrature_bound(V, alpha, t, extra_weight=None):
     """(bound, witness, search details) via witness search + quadrature."""
     cands = V.sup_candidates()
 
@@ -549,15 +549,6 @@ def _quadrature_bound(V, alpha, t, extra_weight=None, polish=False):
     best = int(np.argmax(vals))
     witness = np.asarray(cands[best], dtype=float)
     bound = vals[best]
-    if polish and math.isfinite(bound) and len(witness) <= 6:
-        res = optimize.minimize(
-            lambda x: -objective(x),
-            witness,
-            method="Nelder-Mead",
-            options={"maxiter": 60, "xatol": 1e-4, "fatol": 1e-8},
-        )
-        if -res.fun > bound:
-            bound, witness = -res.fun, res.x
     # crude resolution + Lipschitz gap estimate for the sup search
     details = {"n_candidates": len(cands), "candidate_values": vals}
     if len(cands) > 1 and math.isfinite(bound):
@@ -588,7 +579,6 @@ def kato_integral(
     eps0=0.05,
     workers=1,
     witness=None,
-    polish=False,
 ):
     """Evaluate the alpha-Kato integral of |V| up to horizon t."""
     if not 0.0 <= alpha <= 1.0:
@@ -609,7 +599,7 @@ def kato_integral(
         return KatoCertificate(alpha, t, val, "closed_form", wit, 0.0, details)
 
     if method == "quadrature":
-        bound, wit, details = _quadrature_bound(V, alpha, t, polish=polish)
+        bound, wit, details = _quadrature_bound(V, alpha, t)
         if math.isinf(bound):
             details["blowup_exponent_estimate"] = _blowup_exponent_estimate(V, t)
         if not V.smoothed_abs_exact:
@@ -654,21 +644,12 @@ def kato_integral(
                 w = base * np.minimum(vals, cap)
                 sums[k] = w.sum()
                 sqs[k] = (w * w).sum()
-            return sums, sqs, size
+            return size, sums, sqs
 
-        parts = streams.map_chunks(
+        n, means, ses = streams.merge_chunks(streams.map_chunks(
             chunk, n_samples, seed, streams.TAG_KATO_MC, workers=workers
-        )
-        sums = np.sum([p[0] for p in parts], axis=0)
-        sqs = np.sum([p[1] for p in parts], axis=0)
-        n = sum(p[2] for p in parts)
-        means = sums / n
-        ses = np.sqrt(np.maximum(sqs / n - means**2, 0.0) / n)
-        k_star = _EPS_LADDER - 1
-        for k in range(1, _EPS_LADDER):
-            if np.isfinite(ses[k]) and abs(means[k] - means[k - 1]) <= 0.5 * ses[k]:
-                k_star = k
-                break
+        ))
+        k_star, _settled = streams.settle_level(means, ses)
         return KatoCertificate(
             alpha,
             t,

@@ -222,17 +222,12 @@ def moment_check(space, t, x, order, n_samples, seed, workers=1):
         ys = space.sample_transition_batch(t, x, size, rng)
         dist = space.distance_batch(np.tile(x, (size, 1)), ys)
         vals = dist**order
-        return float(np.sum(vals)), float(np.sum(vals * vals)), size
+        return size, np.sum(vals), np.sum(vals * vals)
 
-    parts = streams.map_chunks(
+    n, mean, stderr = streams.merge_chunks(streams.map_chunks(
         chunk, n_samples, seed, streams.TAG_MOMENT, workers=workers
-    )
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return MomentEstimate(order, t, mean, math.sqrt(var / n), n)
+    ))
+    return MomentEstimate(order, t, float(mean), float(stderr), n)
 
 
 def exact_euclidean_moment(d, t, order):

@@ -23,6 +23,17 @@ def test_bad_config_value_exits_2(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("suite,override", [
+    ("fk", "n_paths=true"),
+    ("fk", 'grid_step="abc"'),
+    ("molecule", 'calibrate="no"'),
+])
+def test_mistyped_override_exits_2(tmp_path, suite, override):
+    assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
+                "--set", override]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_seed_exits_2(tmp_path):
     assert run(["fk", "--out", str(tmp_path / "o")]) == 2
 

@@ -207,6 +207,30 @@ def test_truncation_ladder_repulsive_monotone_in_m():
     assert np.all(np.diff(rep.estimates) <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "v", [HYDROGEN, potentials.CoulombPotential(E3, charge=1.0, attractive=False)]
+)
+def test_truncation_ladder_reproduces_fk_evaluate(v):
+    x = np.array([0.5, 0.0, 0.0])
+    kwargs = dict(grid_step=0.01, tol=1e-4, max_depth=12)
+    est = fk.fk_evaluate(v, PSI_H, x, 0.3, 5_000, seed=21, **kwargs)
+    cap = 1.0 / est.action_integrator["epsilon"]
+    lo = -cap if v.lower_bound is None else max(-cap, v.lower_bound)
+    rep = fk.truncation_ladder(v, PSI_H, x, 0.3, [(-lo, cap)], 5_000, seed=21,
+                               **kwargs)
+    assert rep.estimates == [est.value]
+    assert rep.stderrs == [est.stderr]
+
+
+def test_truncation_ladder_worker_count_invariance():
+    args = (HYDROGEN, PSI_H, np.array([0.7, 0, 0]), 0.3,
+            [(5.0, 5.0), (40.0, 5.0)], 9_000)
+    one = fk.truncation_ladder(*args, seed=8, workers=1)
+    eight = fk.truncation_ladder(*args, seed=8, workers=8)
+    assert one.estimates == eight.estimates
+    assert one.stderrs == eight.stderrs
+
+
 def test_duhamel_zero_and_constant():
     phi = functions.SmoothBump(1.0, 1.5)
     z = potentials.ZeroPotential(E1)

@@ -19,6 +19,15 @@ def test_single_step_skeleton():
     assert p.times[0] == 0.0 and p.times[-1] == 1.0
 
 
+@pytest.mark.parametrize("grid_step", [0.0, -0.1, 1.5])
+def test_grid_step_must_lie_in_horizon(grid_step):
+    rng = np.random.default_rng(0)
+    with pytest.raises(TimeDomainError):
+        paths.sample_paths_batch(E1, np.zeros(1), 1.0, grid_step, 4, rng)
+    with pytest.raises(TimeDomainError):
+        paths.sample_path(E1, np.zeros(1), 1.0, grid_step, rng)
+
+
 def test_horizon_not_multiple_of_step_ends_at_horizon():
     p = paths.sample_path(E1, np.zeros(1), 1.0, 0.3, np.random.default_rng(0))
     assert p.times[-1] == 1.0

@@ -117,6 +117,16 @@ def test_moment_check_requires_enough_samples():
         spaces.moment_check(E1, 0.1, np.zeros(1), 2, 100, seed=0)
 
 
+@pytest.mark.parametrize("space,x", [(E3, np.zeros(3)),
+                                     (S2, np.array([0.0, 0.0, 1.0]))])
+def test_moment_check_worker_count_invariance(space, x):
+    one = spaces.moment_check(space, 0.05, x, 4, 10_000, seed=6, workers=1)
+    eight = spaces.moment_check(space, 0.05, x, 4, 10_000, seed=6, workers=8)
+    assert (one.value, one.stderr, one.n_samples) == (
+        eight.value, eight.stderr, eight.n_samples
+    )
+
+
 def test_moments_decrease_to_zero_small_time():
     prev = math.inf
     for t in [0.4, 0.1, 0.025, 0.00625]:

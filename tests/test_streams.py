@@ -1,0 +1,46 @@
+import math
+
+import numpy as np
+import pytest
+
+from katoflow import streams
+
+# a sequential sum of ~1e4 float64 terms is exact to ~n * 2.2e-16 relative
+RTOL = 1e-10
+
+
+def _chunked(samples, sizes):
+    parts, lo = [], 0
+    for size in sizes:
+        block = samples[lo:lo + size]
+        parts.append((size, block.sum(axis=0), (block * block).sum(axis=0)))
+        lo += size
+    return parts
+
+
+@pytest.mark.parametrize("levels", [None, 3])
+def test_merge_matches_one_pass_moments(levels):
+    rng = np.random.default_rng(4)
+    shape = (10_000,) if levels is None else (10_000, levels)
+    samples = np.exp(-rng.standard_normal(shape))
+    n, means, stderrs = streams.merge_chunks(
+        _chunked(samples, streams.chunk_sizes(samples.shape[0], 3000))
+    )
+    assert n == samples.shape[0]
+    np.testing.assert_allclose(means, samples.mean(axis=0), rtol=RTOL)
+    np.testing.assert_allclose(
+        stderrs, samples.std(axis=0) / math.sqrt(n), rtol=RTOL
+    )
+
+
+def test_settle_level_takes_first_settled_level():
+    means = [1.0, 1.3, 1.31, 1.311]
+    assert streams.settle_level(means, [0.1] * 4) == (2, True)
+
+
+def test_settle_level_skips_infinite_stderr():
+    assert streams.settle_level([1.0, 1.0, 1.0], [0.1, math.inf, 0.1]) == (2, True)
+
+
+def test_settle_level_reports_unsettled_last_level():
+    assert streams.settle_level([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]) == (2, False)
