@@ -4,11 +4,10 @@ for Schrodinger-semigroup smoothing bounds on explicit model spaces."""
 __version__ = "0.1.0"
 
 from .spaces import StateSpace, euclidean, sphere2  # noqa: F401
-from .paths import PathSkeleton, sample_path, refine_bridge, holder_modulus  # noqa: F401
+from .paths import sample_paths_batch, bridge_midpoints, holder_modulus  # noqa: F401
 from .coupling import (  # noqa: F401
-    CouplingRun,
-    reflect_couple,
-    synchronous_couple,
+    simulate_reflection_taus,
+    simulate_reflection_endpoints,
     total_variation_gaussian,
     check_maximality,
     check_equivalence_ladder,

@@ -137,44 +137,40 @@ def pair_grid_sphere(space, k_max=10):
 
 
 def _quotient_scan(space, t, f, alpha, pairs):
+    """(sup |P_t f(x) - P_t f(y)| / (d(x,y)^alpha ||f||), witness) over pairs.
+
+    P_t f is evaluated once per distinct point key by exact quadrature:
+    the coordinate on euclidean(1), the polar angle of a zonal f on S^2."""
     if space.kind == "euclidean":
         if space.dimension != 1:
             raise TimeDomainError("quadrature quotients support euclidean(1)")
-        points = {}
-        for x, y in pairs:
-            points.setdefault(float(x[0]), None)
-            points.setdefault(float(y[0]), None)
-        keys = np.array(sorted(points))
-        vals = heat_semigroup_1d(t, f, keys)
-        table = dict(zip(keys.tolist(), vals.tolist()))
-        best, witness = 0.0, None
-        for x, y in pairs:
-            dist = abs(float(y[0] - x[0]))
-            if dist == 0:
-                continue
-            q = abs(table[float(x[0])] - table[float(y[0])]) / (
-                dist**alpha * f.sup_norm
-            )
-            if q > best:
-                best, witness = q, (x, y)
-        return best, witness
-    # zonal sphere route
-    thetas = {}
-    for x, y in pairs:
-        for p in (x, y):
-            ang = math.acos(min(1.0, max(-1.0, p[2] / space.radius)))
-            thetas[round(ang, 15)] = None
-    keys = np.array(sorted(thetas))
-    vals = sphere_semigroup_zonal(space, t, f, keys)
-    table = dict(zip(keys.tolist(), vals.tolist()))
+
+        def key(p):
+            return float(p[0])
+
+        def evaluate(keys):
+            return heat_semigroup_1d(t, f, keys)
+
+        def distance(x, y):
+            return abs(float(y[0] - x[0]))
+
+    else:
+
+        def key(p):
+            return round(math.acos(min(1.0, max(-1.0, p[2] / space.radius))), 15)
+
+        def evaluate(keys):
+            return sphere_semigroup_zonal(space, t, f, keys)
+
+        distance = space.distance
+    keys = np.array(sorted({key(p) for pair in pairs for p in pair}))
+    table = dict(zip(keys.tolist(), evaluate(keys).tolist()))
     best, witness = 0.0, None
     for x, y in pairs:
-        a1 = round(math.acos(min(1.0, max(-1.0, x[2] / space.radius))), 15)
-        a2 = round(math.acos(min(1.0, max(-1.0, y[2] / space.radius))), 15)
-        dist = space.distance(x, y)
+        dist = distance(x, y)
         if dist == 0:
             continue
-        q = abs(table[a1] - table[a2]) / (dist**alpha * f.sup_norm)
+        q = abs(table[key(x)] - table[key(y)]) / (dist**alpha * f.sup_norm)
         if q > best:
             best, witness = q, (x, y)
     return best, witness
@@ -182,24 +178,9 @@ def _quotient_scan(space, t, f, alpha, pairs):
 
 def lipschitz_quotient(space, t, f, pairs=None, k_max=12):
     """Measured sup |P_t f(x)-P_t f(y)| / (d(x,y) ||f||) against F_K(t)."""
-    if pairs is None:
-        pairs = (
-            pair_grid_euclidean(space, scale=max(1.0, 4 * math.sqrt(t)), k_max=k_max)
-            if space.kind == "euclidean"
-            else pair_grid_sphere(space)
-        )
-    best, witness = _quotient_scan(space, t, f, 1.0, pairs)
-    cap = f_K(space.ricci_lower_bound, t)
-    return BoundReport(
-        bound_name="lipschitz_smoothing",
-        parameters={"K": space.ricci_lower_bound, "t": t, "alpha": 1.0},
-        theoretical_value=cap,
-        empirical_value=best,
-        stderr=0.0,
-        verdict=one_sided_verdict(best, cap, 0.0, _QUAD_TOL),
-        witness=witness,
-        details={"n_pairs": len(pairs)},
-    )
+    report = holder_quotient(space, t, 1.0, f, pairs=pairs, k_max=k_max)
+    report.bound_name = "lipschitz_smoothing"
+    return report
 
 
 def holder_quotient(space, t, alpha, f, pairs=None, k_max=12):
@@ -318,13 +299,12 @@ def corollary_B_constant(vj_terms, vij_terms, K, alpha, t):
 # ---------------------------------------------------------------------------
 
 
-def _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, grid_step, workers):
+def _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, grid_step, workers, kato0):
     """Feynman-Kac estimates of e^{-tH_V}Phi keyed by each distinct pair point.
 
-    The i-th point in sorted order draws from substream (seed, i); the
-    alpha=0 certificate that admits V is computed once for all points."""
+    The i-th point in sorted order draws from substream (seed, i); every
+    point shares the alpha=0 certificate ``kato0`` that admits V."""
     points = sorted({tuple(np.asarray(p, dtype=float)) for pair in pairs for p in pair})
-    kato0 = pot.kato_integral(V, 0.0, t)
     return {
         key: fk.fk_evaluate(
             V, phi, np.array(key), t, n_paths, seed=streams.combine_seed(seed, i),
@@ -332,6 +312,17 @@ def _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, grid_step, workers):
         )
         for i, key in enumerate(points)
     }
+
+
+def _pair_differences(space, pairs, estimates):
+    """(x, y, d, |value difference|, stderr) per pair with d(x, y) > 0."""
+    for x, y in pairs:
+        xa, ya = np.asarray(x, float), np.asarray(y, float)
+        dist = float(space.distance_batch(xa, ya))
+        if dist == 0:
+            continue
+        ex, ey = estimates[tuple(xa)], estimates[tuple(ya)]
+        yield x, y, dist, abs(ex.value - ey.value), math.hypot(ex.stderr, ey.stderr)
 
 
 def verify_main_theorem(
@@ -361,23 +352,18 @@ def verify_main_theorem(
     if pairs is None:
         anchors = [np.asarray(c, dtype=float) for c in V.sup_candidates()]
         pairs = pair_grid_euclidean(space, anchors=anchors, scale=1.0, k_max=6)
-    khash = fk.khashminskii_certify(V, t)
+    kato0 = pot.kato_integral(V, 0.0, t)
+    khash = fk.khashminskii_certify(V, t, kato0=kato0)
     a_val = A_constant(V, K, alpha, t, khash.bound_on_C_exp)
     cap = holder_cap(K, t, alpha) + a_val
-    estimates = _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, grid_step, workers)
+    estimates = _fk_at_pair_points(
+        V, phi, t, pairs, n_paths, seed, grid_step, workers, kato0
+    )
     rows = []
     worst_q, worst_orig = 0.0, None
     all_hold = True
-    for x, y in pairs:
-        kx, ky = tuple(np.asarray(x, float)), tuple(np.asarray(y, float))
-        ex, ey = estimates[kx], estimates[ky]
-        dist = space.distance_batch(np.asarray(x, float), np.asarray(y, float))
-        dist = float(dist)
-        if dist == 0:
-            continue
-        lhs = abs(ex.value - ey.value)
+    for x, y, dist, lhs, se in _pair_differences(space, pairs, estimates):
         rhs = cap * phi.sup_norm * dist**alpha
-        se = math.hypot(ex.stderr, ey.stderr)
         verdict = one_sided_verdict(lhs, rhs, se)
         all_hold &= verdict == HOLDS
         q = lhs / (phi.sup_norm * dist**alpha)
@@ -418,7 +404,7 @@ def verify_eigenfunction_corollary(psi, lam, V, K, alpha, t, pairs):
     khash = fk.khashminskii_certify(V, t)
     cap = (
         math.exp(t * lam)
-        * (holder_cap(K, t, alpha) + A_constant(V, K, alpha, t, khash.bound_on_C_exp))
+        * theorem_cap(V, K, alpha, t, khash.bound_on_C_exp)
         * psi.sup_norm
     )
     worst, witness = 0.0, None
@@ -504,17 +490,12 @@ def fit_blowup_exponent(alphas, values):
 
 def measured_holder_quotient_mc(V, phi, alpha, t, pairs, n_paths, seed, workers=1):
     """(max quotient, stderr at the witness) of e^{-tH_V}Phi over a pair grid."""
-    est = _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, None, workers)
+    est = _fk_at_pair_points(
+        V, phi, t, pairs, n_paths, seed, None, workers, pot.kato_integral(V, 0.0, t)
+    )
     best, best_se = 0.0, 0.0
-    for x, y in pairs:
-        kx, ky = tuple(np.asarray(x, float)), tuple(np.asarray(y, float))
-        dist = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-        if dist == 0:
-            continue
-        q = abs(est[kx].value - est[ky].value) / (phi.sup_norm * dist**alpha)
+    for _x, _y, dist, diff, se in _pair_differences(V.space, pairs, est):
+        q = diff / (phi.sup_norm * dist**alpha)
         if q > best:
-            best = q
-            best_se = math.hypot(est[kx].stderr, est[ky].stderr) / (
-                phi.sup_norm * dist**alpha
-            )
+            best, best_se = q, se / (phi.sup_norm * dist**alpha)
     return best, best_se

@@ -407,6 +407,8 @@ def suite_khashminskii(p, seed, workers):
     r = p["r"]
     cert = fk.khashminskii_certify(v, r)
     x = np.asarray(p["x"], dtype=float)
+    if p["steps"] < 1:
+        raise ConfigError("steps must be >= 1")
     mean, se = fk.exp_action_moment(
         v, x, r, p["n_paths"], seed, grid_step=r / p["steps"], workers=workers
     )

@@ -1,4 +1,5 @@
-"""Brownian couplings on R^d: reflection (mirror) and synchronous.
+"""The mirror coupling on R^d: total variation, maximality and the
+equivalence ladder.
 
 The mirror coupling reflects across the perpendicular bisector hyperplane of
 the starting pair; the separation coordinate of the driving motion is a 1d
@@ -8,116 +9,28 @@ exp(-a*b/h), so coupling-time statistics carry no O(sqrt(grid_step)) bias.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, stats
 
 from . import streams
 from .errors import PrecisionError, TimeDomainError, UnsupportedStrategyError
-from .paths import PathSkeleton, _grid
+from .paths import _grid
 from .reports import HOLDS, BoundReport, one_sided_verdict
 
 REFLECTION = "reflection"
-SYNCHRONOUS = "synchronous"
-
-
-@dataclass
-class CouplingRun:
-    strategy: str
-    x: np.ndarray
-    y: np.ndarray
-    horizon: float
-    grid_step: float
-    tau: float  # +inf sentinel when the paths never merge in [0, horizon]
-    paths: tuple  # (PathSkeleton, PathSkeleton)
-
-
-def _mirror_frame(x, y):
-    sep = float(np.linalg.norm(y - x))
-    mid = 0.5 * (x + y)
-    e = (y - x) / sep
-    return sep, mid, e
-
-
-def reflect_couple(space, x, y, horizon, grid_step, rng):
-    """One mirror-coupling run with fully materialized paths."""
-    if space.kind != "euclidean":
-        raise UnsupportedStrategyError("reflection coupling implemented on R^d only")
-    x = space.check_point(x)
-    y = space.check_point(y)
-    times, _steps = _grid(horizon, grid_step)
-    n_steps = len(times) - 1
-    d = space.dimension
-    xs = np.empty((n_steps + 1, d))
-    xs[0] = x
-    if np.array_equal(x, y):
-        incr = rng.standard_normal((n_steps, d))
-        for k in range(n_steps):
-            h = times[k + 1] - times[k]
-            xs[k + 1] = xs[k] + math.sqrt(2.0 * h) * incr[k]
-        pa = PathSkeleton(space, times.copy(), xs, {"refinements": []})
-        pb = PathSkeleton(space, times.copy(), xs.copy(), {"refinements": []})
-        return CouplingRun(REFLECTION, x, y, horizon, grid_step, 0.0, (pa, pb))
-    sep, mid, e = _mirror_frame(x, y)
-    cross_step = None
-    u_prev = float((xs[0] - mid) @ e)
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        xs[k + 1] = xs[k] + math.sqrt(2.0 * h) * rng.standard_normal(d)
-        if cross_step is None:
-            u_new = float((xs[k + 1] - mid) @ e)
-            prod = u_prev * u_new
-            if prod <= 0 or rng.random() < math.exp(-prod / h):
-                cross_step = k
-            u_prev = u_new
-    ys = xs.copy()
-    upto = n_steps + 1 if cross_step is None else cross_step + 1
-    uvals = (xs[:upto] - mid) @ e
-    ys[:upto] = xs[:upto] - 2.0 * uvals[:, None] * e
-    tau = math.inf if cross_step is None else float(times[cross_step + 1])
-    pa = PathSkeleton(space, times.copy(), xs, {"refinements": []})
-    pb = PathSkeleton(space, times.copy(), ys, {"refinements": []})
-    return CouplingRun(REFLECTION, x, y, horizon, grid_step, tau, (pa, pb))
-
-
-def synchronous_couple(space, x, y, horizon, grid_step, rng):
-    """Both legs driven by identical increments; never couples on R^d."""
-    x = space.check_point(x)
-    y = space.check_point(y)
-    times, _steps = _grid(horizon, grid_step)
-    n_steps = len(times) - 1
-    started_equal = bool(np.array_equal(x, y))
-    if space.kind == "euclidean":
-        d = space.dimension
-        xs = np.empty((n_steps + 1, d))
-        ys = np.empty((n_steps + 1, d))
-        xs[0], ys[0] = x, y
-        for k in range(n_steps):
-            h = times[k + 1] - times[k]
-            dw = math.sqrt(2.0 * h) * rng.standard_normal(d)
-            xs[k + 1] = xs[k] + dw
-            ys[k + 1] = ys[k] + dw
-    else:
-        xs = np.empty((n_steps + 1, 3))
-        ys = np.empty((n_steps + 1, 3))
-        xs[0], ys[0] = x, y
-        for k in range(n_steps):
-            h = times[k + 1] - times[k]
-            # same tangent draws expressed in each point's own frame
-            state = rng.bit_generator.state
-            xs[k + 1] = space._sphere_walk(h, xs[k][None, :], rng)[0]
-            rng.bit_generator.state = state
-            ys[k + 1] = space._sphere_walk(h, ys[k][None, :], rng)[0]
-    tau = 0.0 if started_equal else math.inf
-    pa = PathSkeleton(space, times.copy(), xs, {"refinements": []})
-    pb = PathSkeleton(space, times.copy(), ys, {"refinements": []})
-    return CouplingRun(SYNCHRONOUS, x, y, horizon, grid_step, tau, (pa, pb))
 
 
 # ---------------------------------------------------------------------------
 # vectorized run statistics
 # ---------------------------------------------------------------------------
+
+
+def _crossed(u, u_new, h, unif):
+    """Whether separation coordinates u -> u_new over a step h hit zero:
+    a sign change, or a bridge first passage with probability exp(-u*u_new/h)."""
+    prod = u * u_new
+    return (prod <= 0) | (unif < np.exp(-np.maximum(prod, 0.0) / h))
 
 
 def simulate_reflection_taus(separation, horizon, grid_step, n_runs, seed, workers=1):
@@ -140,8 +53,7 @@ def simulate_reflection_taus(separation, horizon, grid_step, n_runs, seed, worke
             g = rng.standard_normal(size)
             unif = rng.random(size)
             u_new = u + math.sqrt(2.0 * h) * g
-            prod = u * u_new
-            crossed = alive & ((prod <= 0) | (unif < np.exp(-np.maximum(prod, 0.0) / h)))
+            crossed = alive & _crossed(u, u_new, h, unif)
             taus[crossed] = times[k + 1]
             alive &= ~crossed
             u = u_new
@@ -154,12 +66,17 @@ def simulate_reflection_taus(separation, horizon, grid_step, n_runs, seed, worke
 
 
 def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, workers=1):
-    """(X_t, Y_t, coupled) samples of the mirror coupling, vectorized."""
+    """(X_t, Y_t, coupled) samples of the mirror coupling, vectorized.
+
+    For x == y every hyperplane through x is a mirror; the runs couple at the
+    first step and Y_t == X_t."""
     if space.kind != "euclidean":
         raise UnsupportedStrategyError("reflection coupling implemented on R^d only")
     x = space.check_point(x)
     y = space.check_point(y)
-    sep, mid, e = _mirror_frame(x, y)
+    sep = float(np.linalg.norm(y - x))
+    mid = 0.5 * (x + y)
+    e = (y - x) / sep if sep > 0 else np.eye(x.size)[0]
     times, _steps = _grid(t, grid_step)
     n_steps = len(times) - 1
     d = space.dimension
@@ -173,11 +90,7 @@ def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, worke
             xs += math.sqrt(2.0 * h) * rng.standard_normal((size, d))
             unif = rng.random(size)
             u_new = (xs - mid) @ e
-            prod = u * u_new
-            crossed = ~coupled & (
-                (prod <= 0) | (unif < np.exp(-np.maximum(prod, 0.0) / h))
-            )
-            coupled |= crossed
+            coupled |= _crossed(u, u_new, h, unif)
             u = u_new
         ys = np.where(coupled[:, None], xs, xs - 2.0 * u[:, None] * e)
         return xs, ys, coupled
@@ -289,11 +202,6 @@ def check_maximality(taus, d, separation, t_grid, strategy=REFLECTION):
     return report, rows
 
 
-def survival_is_monotone(taus, t_grid):
-    surv = [float(np.mean(np.asarray(taus) > t)) for t in sorted(t_grid)]
-    return all(a >= b for a, b in zip(surv, surv[1:]))
-
-
 def check_equivalence_ladder(
     space, x, y, t, alpha_grid, f_family, n_runs, seed, grid_step, workers=1
 ):
@@ -301,6 +209,8 @@ def check_equivalence_ladder(
     x = space.check_point(x)
     y = space.check_point(y)
     dist = space.distance(x, y)
+    if dist == 0:
+        raise TimeDomainError("the equivalence ladder needs d(x, y) > 0")
     xs, ys, coupled = simulate_reflection_endpoints(
         space, x, y, t, grid_step, n_runs, seed, workers=workers
     )

@@ -128,7 +128,7 @@ def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
         if pid.size == 0:
             break
         half = delta / 2.0
-        mid = 0.5 * (xl + xr) + math.sqrt(half) * rng.standard_normal(xl.shape)
+        mid = paths.bridge_midpoints(xl, xr, delta, rng)
         with np.errstate(divide="ignore", invalid="ignore"):
             vm = np.asarray(V(mid), dtype=float)
         dm = np.asarray(V.singularity_distance(mid), dtype=float)
@@ -199,6 +199,15 @@ def _fk_ladder(V, psi, x, t, n_paths, seed, n_steps, tol, max_depth, clips,
     return n, means, stderrs, sum(p[3] for p in parts)
 
 
+def _grid_steps(t, grid_step):
+    """Number of path steps on [0, t]; grid_step None means t/100."""
+    if grid_step is None:
+        grid_step = t / 100.0
+    if grid_step <= 0:
+        raise TimeDomainError("grid_step must be > 0")
+    return max(1, int(round(t / grid_step)))
+
+
 def _kato_gate(V, t, kato0):
     """Feynman-Kac admissibility: Kato certificate or a finite lower bound."""
     if V.is_zero or V.lower_bound is not None:
@@ -241,9 +250,7 @@ def fk_evaluate(
     if t <= 0:
         raise TimeDomainError("t must be > 0")
     kato0 = _kato_gate(V, t, kato0)
-    if grid_step is None:
-        grid_step = t / 100.0
-    n_steps = max(1, int(round(t / grid_step)))
+    n_steps = _grid_steps(t, grid_step)
     grid_step = t / n_steps
 
     caps = (1.0 / eps0) * 2.0 ** np.arange(_CAP_LEVELS)
@@ -376,9 +383,7 @@ def truncation_ladder(
     With shared paths the monotonicity of the capped action is path-wise
     exact: estimates decrease in m and increase in n (for psi >= 0)."""
     x = V.space.check_point(x)
-    if grid_step is None:
-        grid_step = t / 100.0
-    n_steps = max(1, int(round(t / grid_step)))
+    n_steps = _grid_steps(t, grid_step)
     levels = [(float(n), float(m)) for n, m in levels]
     _n, means, ses, _leaves = _fk_ladder(
         V, psi, x, t, n_paths, seed, n_steps, tol, max_depth,
@@ -421,6 +426,8 @@ def duhamel_residual(
         raise TimeDomainError("duhamel_residual lives on euclidean(1)")
     if V.sup_norm is None:
         raise TimeDomainError("duhamel_residual needs a bounded potential")
+    if n_time_steps < 1:
+        raise TimeDomainError("duhamel_residual needs n_time_steps >= 1")
     xs = np.arange(-halfwidth, halfwidth + dx / 2.0, dx)
     n = xs.size
     vvec = np.asarray(V(xs[:, None]), dtype=float)

@@ -1,40 +1,16 @@
-"""Brownian path skeletons on a refinable time grid.
+"""Batch Brownian paths, bridge midpoints and Hoelder moduli.
 
-A skeleton stores (time, point) pairs; Euclidean skeletons can be refined by
-Brownian-bridge midpoint insertion without disturbing existing entries, which
-is what accurate action integrals of singular potentials need.
+``sample_paths_batch`` draws n paths on one time grid; ``bridge_midpoints``
+is the Brownian-bridge midpoint law that refines a batch of grid intervals,
+which is what accurate action integrals of singular potentials need; and
+``holder_modulus`` measures the Hoelder regularity of sampled paths.
 """
 
-import csv
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TimeDomainError, UnsupportedRefinementError
-
-
-@dataclass
-class PathSkeleton:
-    space: object
-    times: np.ndarray  # strictly increasing, times[0] == 0
-    points: np.ndarray  # shape (len(times), embedding_dim)
-    seed_lineage: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.times)
-
-    @property
-    def start(self):
-        return self.points[0]
-
-    @property
-    def end(self):
-        return self.points[-1]
-
-    def interval(self, i):
-        """(t_left, t_right, x_left, x_right) of grid interval i."""
-        return self.times[i], self.times[i + 1], self.points[i], self.points[i + 1]
+from .errors import TimeDomainError
 
 
 def _grid(horizon, grid_step):
@@ -45,12 +21,6 @@ def _grid(horizon, grid_step):
         return np.linspace(0.0, horizon, n + 1), np.full(n, horizon / n)
     times = np.append(np.arange(0.0, horizon, grid_step), horizon)
     return times, np.diff(times)
-
-
-def sample_path(space, x, horizon, grid_step, rng, seed=None):
-    """Skeleton on the uniform grid {0, h, 2h, ..., horizon}."""
-    times, pts = sample_paths_batch(space, x, horizon, grid_step, 1, rng)
-    return PathSkeleton(space, times, pts[0], {"seed": seed, "refinements": []})
 
 
 def sample_paths_batch(space, x, horizon, grid_step, n, rng):
@@ -81,80 +51,41 @@ def sample_paths_batch(space, x, horizon, grid_step, n, rng):
     return times, pts
 
 
-def refine_bridge(path, interval_index, rng):
-    """Insert the Brownian-bridge midpoint of a grid interval (Euclidean only).
+def bridge_midpoints(xl, xr, delta, rng):
+    """Brownian-bridge midpoints of Euclidean intervals of length delta.
 
-    Midpoint law: mean = average of the endpoints, per-coordinate variance
-    2*(delta/4) = delta/2 for an interval of length delta.
+    ``xl`` and ``xr`` hold the interval endpoints row by row; the midpoint law
+    is the endpoint average plus per-coordinate variance 2*(delta/4) = delta/2.
     """
-    if path.space.kind != "euclidean":
-        raise UnsupportedRefinementError(
-            "bridge refinement supports Euclidean skeletons only; "
-            "sphere paths use fixed fine grids"
-        )
-    if not 0 <= interval_index < len(path) - 1:
-        raise TimeDomainError(f"no interval {interval_index}")
-    tl, tr, xl, xr = path.interval(interval_index)
-    delta = tr - tl
-    mid_t = 0.5 * (tl + tr)
-    mid = 0.5 * (xl + xr) + math.sqrt(delta / 2.0) * rng.standard_normal(xl.shape)
-    path.times = np.insert(path.times, interval_index + 1, mid_t)
-    path.points = np.insert(path.points, interval_index + 1, mid, axis=0)
-    path.seed_lineage.setdefault("refinements", []).append(int(interval_index))
-    return path
+    return 0.5 * (xl + xr) + math.sqrt(delta / 2.0) * rng.standard_normal(xl.shape)
 
 
-def holder_modulus(path, alpha, block=2048):
-    """max over skeleton pairs of d(w(s), w(s')) / |s - s'|^alpha."""
-    n = len(path)
+def holder_modulus(space, times, points, alpha):
+    """max over grid pairs of d(w(s), w(s')) / |s - s'|^alpha.
+
+    ``points`` is one path ``(n_times, dim)`` or a batch ``(n, n_times, dim)``
+    on ``times``, as ``sample_paths_batch`` returns them; a batch gives one
+    modulus per path."""
+    times = np.asarray(times, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    n = len(times)
     if n < 2:
-        raise TimeDomainError("skeleton needs >= 2 entries")
-    times = path.times
-    pts = path.points
-    dts = np.diff(times)
-    best = 0.0
-    if np.ptp(dts) < 1e-9 * dts.max():
-        # uniform grid: |s - s'| depends only on the index lag
-        h = (times[-1] - times[0]) / (n - 1)
-        one_d = path.space.kind == "euclidean" and pts.shape[1] == 1
-        if one_d:
-            w = pts[:, 0]
-            diam = float(w.max() - w.min())
-        else:
-            diam = float(
-                np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
-            )
-            if path.space.kind == "sphere2":
-                diam = math.pi * path.space.radius
-        for lag in range(1, n):
-            denom = (lag * h) ** alpha
-            if diam / denom <= best:
-                break  # no longer-lag pair can improve the maximum
-            if one_d:
-                dmax = float(np.abs(w[lag:] - w[:-lag]).max())
-            else:
-                dmax = float(path.space.distance_batch(pts[lag:], pts[:-lag]).max())
-            best = max(best, dmax / denom)
-        return best
-    for lo in range(0, n - 1, block):
-        hi = min(lo + block, n - 1)
-        rows = pts[lo:hi]  # (b, dim)
-        row_t = times[lo:hi]
-        # pairs (i, j) with i in [lo, hi), j > i
-        dists = path.space.distance_batch(rows[:, None, :], pts[None, lo + 1:, :])
-        dt = times[None, lo + 1:] - row_t[:, None]
-        mask = dt > 0
-        if np.any(mask):
-            q = np.where(mask, dists / np.where(mask, dt, 1.0) ** alpha, 0.0)
-            best = max(best, float(q.max()))
-    return best
-
-
-def dump_paths_csv(paths, fileobj):
-    """CSV rows (path_id, time, coord_0, ..., coord_{d-1})."""
-    writer = csv.writer(fileobj)
-    dim = paths[0].points.shape[1]
-    writer.writerow(["path_id", "time"] + [f"coord_{i}" for i in range(dim)])
-    for pid, p in enumerate(paths):
-        for t, pt in zip(p.times, p.points):
-            writer.writerow([pid, repr(float(t))] + [repr(float(c)) for c in pt])
+        raise TimeDomainError("a path needs >= 2 grid times")
+    batch = pts.reshape(-1, n, pts.shape[-1])
+    if space.kind == "sphere2":
+        diam = np.full(len(batch), math.pi * space.radius)
+    else:
+        diam = np.linalg.norm(batch.max(axis=1) - batch.min(axis=1), axis=-1)
+    best = np.zeros(len(batch))
+    live, w = np.arange(len(batch)), batch  # paths whose modulus can still grow
+    for lag in range(1, n):
+        gaps = times[lag:] - times[:-lag]
+        # gaps grow with the lag: a path whose diameter bound is reached is done
+        grow = diam[live] / gaps.min() ** alpha > best[live]
+        if not grow.all():
+            live, w = live[grow], w[grow]
+            if live.size == 0:
+                break
+        q = space.distance_batch(w[:, lag:], w[:, :-lag]) / gaps**alpha
+        best[live] = np.maximum(best[live], q.max(axis=-1))
+    return float(best[0]) if pts.ndim == 2 else best.reshape(pts.shape[:-2])

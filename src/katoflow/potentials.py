@@ -24,7 +24,6 @@ from .errors import (
     InvalidPointError,
     TimeDomainError,
 )
-from .paths import PathSkeleton
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -760,37 +759,28 @@ def lq_kato_bound(V, q, alpha, t, lq_split=None):
 # ---------------------------------------------------------------------------
 
 
-def submersion_project(path, projection, i=None, j=None, normalized=True):
-    """Project a path in R^{3m} to R^3 through pi_j or the pair-difference map.
+def submersion_project(points, projection, i=None, j=None, normalized=True):
+    """Project points of R^{3m} to R^3 through pi_j or the pair-difference map.
 
-    ``projection`` is "pi_j" (coordinate block j, an isometric submersion) or
-    "pi_ij" ((x_i - x_j)/sqrt(2); without the normalization the image has
+    ``points`` is one path ``(n_times, 3m)`` or a batch ``(n, n_times, 3m)``;
+    the projection acts on the last axis.  ``projection`` is "pi_j"
+    (coordinate block j, an isometric submersion) or "pi_ij"
+    ((x_i - x_j)/sqrt(2); without the normalization the image has
     per-coordinate increment variance 4h, twice Brownian)."""
-    from . import spaces as _spaces
-
-    space = path.space
-    if space.kind != "euclidean" or space.dimension % 3 != 0:
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1] % 3 != 0:
         raise InvalidPointError("submersions act on molecular configuration spaces")
-    m = space.dimension // 3
-    pts = path.points
+    m = pts.shape[-1] // 3
     if projection == "pi_j":
         if j is None or not 0 <= j < m:
             raise InvalidPointError(f"electron index {j} out of range for m={m}")
-        out = pts[:, 3 * j : 3 * j + 3]
-    elif projection == "pi_ij":
+        return pts[..., 3 * j : 3 * j + 3].copy()
+    if projection == "pi_ij":
         if i is None or j is None or not (0 <= i < m and 0 <= j < m and i != j):
             raise InvalidPointError(f"pair ({i},{j}) out of range for m={m}")
-        out = pts[:, 3 * i : 3 * i + 3] - pts[:, 3 * j : 3 * j + 3]
-        if normalized:
-            out = out / math.sqrt(2.0)
-    else:
-        raise InvalidPointError(f"unknown projection {projection!r}")
-    return PathSkeleton(
-        _spaces.euclidean(3),
-        path.times.copy(),
-        np.ascontiguousarray(out),
-        dict(path.seed_lineage),
-    )
+        out = pts[..., 3 * i : 3 * i + 3] - pts[..., 3 * j : 3 * j + 3]
+        return out / math.sqrt(2.0) if normalized else out
+    raise InvalidPointError(f"unknown projection {projection!r}")
 
 
 # ---------------------------------------------------------------------------

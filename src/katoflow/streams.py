@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import PrecisionError
+
 DEFAULT_CHUNK = 4096
 
 # fixed per-operation stream tags; never reuse a value
@@ -58,6 +60,8 @@ def map_chunks(fn, n_total, seed, tag, chunk=DEFAULT_CHUNK, workers=1):
     Returns the list of per-chunk results ordered by chunk index, so any
     associative merge over the list is worker-count independent.
     """
+    if n_total < 1:
+        raise PrecisionError(f"need at least one sample, got {n_total}")
     sizes = chunk_sizes(n_total, chunk)
     jobs = [(k, size) for k, size in enumerate(sizes)]
 

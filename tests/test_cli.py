@@ -27,11 +27,22 @@ def test_bad_config_value_exits_2(tmp_path):
     ("fk", "n_paths=true"),
     ("fk", 'grid_step="abc"'),
     ("molecule", 'calibrate="no"'),
+    ("fk", "grid_step=0"),
+    ("fk", "grid_step=-0.1"),
+    ("fk", "n_paths=0"),
+    ("theorem", "n_paths=0"),
+    ("khashminskii", "n_paths=0"),
+    ("molecule", "n_paths=0"),
+    ("khashminskii", "steps=0"),
+    ("couple", "n_runs=0"),
+    ("duhamel", "step_ladder=[0]"),
+    ("couple", "separation=0"),
 ])
-def test_mistyped_override_exits_2(tmp_path, suite, override):
+def test_mistyped_override_exits_2(tmp_path, capsys, suite, override):
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
                 "--set", override]) == 2
     assert not (tmp_path / "o").exists()
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_missing_seed_exits_2(tmp_path):

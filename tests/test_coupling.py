@@ -34,26 +34,27 @@ def test_tv_limits():
 
 
 def test_trivial_coupling_from_equal_points():
-    run = coupling.reflect_couple(
-        E2, np.zeros(2), np.zeros(2), 1.0, 0.25, np.random.default_rng(0)
+    xs, ys, coupled = coupling.simulate_reflection_endpoints(
+        E2, np.zeros(2), np.zeros(2), 1.0, 0.25, 5_000, seed=0
     )
-    assert run.tau == 0.0
-    assert np.array_equal(run.paths[0].points, run.paths[1].points)
+    assert np.all(np.isfinite(xs))
+    assert coupled.all()
+    assert np.array_equal(xs, ys)
 
 
 def test_reflection_positive_tau_and_gluing():
-    rng = np.random.default_rng(4)
-    run = coupling.reflect_couple(
-        E1, np.array([-1.0]), np.array([1.0]), 6.0, 0.125, rng
+    taus = coupling.simulate_reflection_taus(2.0, 6.0, 0.125, 5_000, seed=4)
+    assert np.all(taus > 0)
+    x, y = np.array([-1.0, 0.5]), np.array([1.0, 0.5])
+    xs, ys, coupled = coupling.simulate_reflection_endpoints(
+        E2, x, y, 1.0, 0.125, 5_000, seed=4
     )
-    assert run.tau > 0
-    xs, ys = run.paths[0].points, run.paths[1].points
-    times = run.paths[0].times
-    after = times >= run.tau
-    assert np.array_equal(xs[after], ys[after])
-    if math.isfinite(run.tau):
-        before = times < run.tau
-        assert not np.allclose(xs[before], ys[before])
+    assert coupled.any() and not coupled.all()
+    # glued after the crossing, mirror images across x_0 = 0 before it
+    assert np.array_equal(xs[coupled], ys[coupled])
+    mirror = xs[~coupled] * np.array([-1.0, 1.0])
+    assert np.allclose(ys[~coupled], mirror, rtol=0.0, atol=1e-12)
+    assert not np.allclose(xs[~coupled], ys[~coupled])
 
 
 def test_reflection_rejected_on_sphere():
@@ -61,30 +62,7 @@ def test_reflection_rejected_on_sphere():
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([1.0, 0.0, 0.0])
     with pytest.raises(UnsupportedStrategyError):
-        coupling.reflect_couple(s2, a, b, 1.0, 0.25, np.random.default_rng(0))
-
-
-def test_synchronous_never_couples_translation_invariant():
-    rng = np.random.default_rng(9)
-    run = coupling.synchronous_couple(
-        E3, np.zeros(3), np.array([1.0, 0.0, 0.0]), 2.0, 0.25, rng
-    )
-    assert run.tau == math.inf
-    diff = run.paths[1].points - run.paths[0].points
-    assert np.allclose(diff, diff[0])
-    run0 = coupling.synchronous_couple(
-        E3, np.zeros(3), np.zeros(3), 1.0, 0.5, np.random.default_rng(1)
-    )
-    assert run0.tau == 0.0
-
-
-def test_synchronous_sphere_separation_reported_not_asserted():
-    s2 = spaces.sphere2()
-    a = np.array([0.0, 0.0, 1.0])
-    b = np.array([0.0, 1.0, 0.0])
-    run = coupling.synchronous_couple(s2, a, b, 0.5, 0.05, np.random.default_rng(3))
-    seps = s2.distance_batch(run.paths[0].points, run.paths[1].points)
-    assert np.all(np.isfinite(seps))
+        coupling.simulate_reflection_endpoints(s2, a, b, 1.0, 0.25, 100, seed=0)
 
 
 def test_survival_matches_reflection_principle():
@@ -133,7 +111,8 @@ def test_check_maximality_requires_runs():
 def test_survival_monotone_and_decaying():
     taus = coupling.simulate_reflection_taus(1.0, 8.0, 0.25, 50_000, seed=21)
     grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-    assert coupling.survival_is_monotone(taus, grid)
+    surv = [float(np.mean(taus > t)) for t in grid]
+    assert all(a >= b for a, b in zip(surv, surv[1:]))
     # K = 0: every such coupling is successful, so survival tends to 0
     assert float(np.mean(taus > 8.0)) < coupling.reflection_survival_exact(1.0, 8.0) + 0.01
     assert coupling.reflection_survival_exact(1.0, 200.0) < 0.05

@@ -246,29 +246,38 @@ def test_submersion_projections():
     rng = np.random.default_rng(5)
     n = 20_000
     h = 0.05
-    times, pts = paths.sample_paths_batch(E6, np.zeros(6), 0.25, h, n, rng)
-    # per-path skeletons are overkill here; project the batch directly
-    one = paths.PathSkeleton(E6, times, pts[0], {})
-    pj = potentials.submersion_project(one, "pi_j", j=1)
-    assert pj.points.shape[1] == 3
-    assert pj.space.dimension == 3
+    _times, pts = paths.sample_paths_batch(E6, np.zeros(6), 0.25, h, n, rng)
+    pj = potentials.submersion_project(pts, "pi_j", j=1)
+    assert pj.shape == pts.shape[:-1] + (3,)
+    assert np.array_equal(pj, pts[..., 3:6])
+    one = potentials.submersion_project(pts[0], "pi_j", j=1)
+    assert np.array_equal(one, pj[0])
 
     # variance checks across the ensemble
     inc = np.diff(pts, axis=1)
-    pi1 = inc[:, :, 0:3].reshape(-1, 3)
+    pi1 = np.diff(potentials.submersion_project(pts, "pi_j", j=0), axis=1).reshape(-1, 3)
     assert np.allclose(pi1.var(axis=0), 2 * h, rtol=0.05)
-    raw_diff = (inc[:, :, 0:3] - inc[:, :, 3:6]).reshape(-1, 3)
+    raw = potentials.submersion_project(pts, "pi_ij", i=0, j=1, normalized=False)
+    raw_diff = np.diff(raw, axis=1).reshape(-1, 3)
+    assert np.allclose(raw_diff, (inc[:, :, 0:3] - inc[:, :, 3:6]).reshape(-1, 3))
     assert np.allclose(raw_diff.var(axis=0), 4 * h, rtol=0.05)  # twice Brownian
-    norm_diff = raw_diff / math.sqrt(2)
+    norm = potentials.submersion_project(pts, "pi_ij", i=0, j=1)
+    norm_diff = np.diff(norm, axis=1).reshape(-1, 3)
     assert np.allclose(norm_diff.var(axis=0), 2 * h, rtol=0.05)
 
 
 def test_submersion_index_errors():
-    p = paths.sample_path(E6, np.zeros(6), 0.5, 0.25, np.random.default_rng(0))
+    _times, pts = paths.sample_paths_batch(
+        E6, np.zeros(6), 0.5, 0.25, 1, np.random.default_rng(0)
+    )
     with pytest.raises(InvalidPointError):
-        potentials.submersion_project(p, "pi_j", j=5)
+        potentials.submersion_project(pts, "pi_j", j=5)
     with pytest.raises(InvalidPointError):
-        potentials.submersion_project(p, "pi_ij", i=0, j=0)
+        potentials.submersion_project(pts[0], "pi_ij", i=0, j=0)
+    with pytest.raises(InvalidPointError):
+        potentials.submersion_project(pts[..., :4], "pi_j", j=0)
+    with pytest.raises(InvalidPointError):
+        potentials.submersion_project(pts, "pi_k", j=0)
 
 
 def test_molecule_json_roundtrip(tmp_path):
