@@ -303,15 +303,19 @@ def _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, grid_step, workers, kato
     """Feynman-Kac estimates of e^{-tH_V}Phi keyed by each distinct pair point.
 
     The i-th point in sorted order draws from substream (seed, i); every
-    point shares the alpha=0 certificate ``kato0`` that admits V."""
+    point shares the alpha=0 certificate ``kato0`` that admits V.  The
+    ``workers`` split the points, so each estimate runs its chunks in turn
+    and the values do not depend on the worker count."""
     points = sorted({tuple(np.asarray(p, dtype=float)) for pair in pairs for p in pair})
-    return {
-        key: fk.fk_evaluate(
+
+    def estimate(item):
+        i, key = item
+        return fk.fk_evaluate(
             V, phi, np.array(key), t, n_paths, seed=streams.combine_seed(seed, i),
-            grid_step=grid_step, kato0=kato0, workers=workers, check_bound=False,
+            grid_step=grid_step, kato0=kato0, workers=1, check_bound=False,
         )
-        for i, key in enumerate(points)
-    }
+
+    return dict(zip(points, streams.map_ordered(estimate, enumerate(points), workers)))
 
 
 def _pair_differences(space, pairs, estimates):

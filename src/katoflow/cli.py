@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import __version__
 from . import bounds, coupling, feynman_kac as fk, functions
@@ -141,6 +140,8 @@ def suite_kernel_checks(p, seed, workers):
             }
         )
     # KS marginal of the transition sampler
+    from scipy import stats as sstats  # lazy: ~0.6 s to import
+
     e3 = spaces.euclidean(3)
     samples = e3.sample_transition_batch(0.6, np.zeros(3), p["n_ks"], rng)
     pval = float(
@@ -256,6 +257,8 @@ def suite_couple(p, seed, workers):
         sp, x, y, t_eq, p["grid_step"], p["n_runs"], seed, workers=workers
     )
     sig = math.sqrt(2 * t_eq)
+    from scipy import stats as sstats  # lazy: ~0.6 s to import
+
     ks_rows = []
     for leg, arr, start in (("X", xs, x), ("Y", ys, y)):
         for axis in range(d):
@@ -968,12 +971,15 @@ def main(argv=None):
             for key in cfg:
                 if key not in known:
                     raise ConfigError(f"unknown key {key}")
-            exit_code = 0
+            # every suite is checked before the first one writes anything
+            selected = []
             for suite in args.suites.split(","):
                 suite = suite.strip()
                 if suite not in SUITES:
                     raise ConfigError(f"unknown suite {suite!r}")
-                params = _validate(suite, cfg.get(suite, {}))
+                selected.append((suite, _validate(suite, cfg.get(suite, {}))))
+            exit_code = 0
+            for suite, params in selected:
                 code, verdicts = run_suite(
                     suite, params, args.seed, args.out, args.workers
                 )

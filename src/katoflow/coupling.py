@@ -11,7 +11,7 @@ exp(-a*b/h), so coupling-time statistics carry no O(sqrt(grid_step)) bias.
 import math
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from . import streams
 from .errors import PrecisionError, TimeDomainError, UnsupportedStrategyError
@@ -120,6 +120,8 @@ def total_variation_gaussian(d, separation, t, method="closed_form"):
     separation = float(separation)
     if separation < 0:
         raise TimeDomainError("separation must be >= 0")
+    from scipy import stats  # lazy: ~0.6 s to import
+
     if method == "closed_form":
         return float(2.0 * stats.norm.cdf(separation / (2.0 * math.sqrt(2.0 * t))) - 1.0)
     if method == "quadrature":

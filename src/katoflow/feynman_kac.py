@@ -109,20 +109,18 @@ def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
             "singular potentials are restricted to Euclidean spaces"
         )
 
+    # first level on (size, n_steps) views: far intervals become one leaf
+    # block, and only the near ones are gathered for refinement
     dist = np.asarray(sing_dist, dtype=float).reshape(size, n_steps + 1)
-    pid = np.repeat(np.arange(size), n_steps)
-    xl = pts[:, :-1, :].reshape(-1, d)
-    xr = pts[:, 1:, :].reshape(-1, d)
-    vl = vraw[:, :-1].ravel()
-    vr = vraw[:, 1:].ravel()
-    dl = dist[:, :-1].ravel()
-    dr = dist[:, 1:].ravel()
-
     delta = h
-    near = np.minimum(dl, dr) < _NEAR_FACTOR * math.sqrt(2.0 * delta)
-    leaves.append((pid[~near], delta, vl[~near], vr[~near]))
-    pid, xl, xr, vl, vr = pid[near], xl[near], xr[near], vl[near], vr[near]
-    dl, dr = dl[near], dr[near]
+    near = np.minimum(dist[:, :-1], dist[:, 1:]) < _NEAR_FACTOR * math.sqrt(2.0 * delta)
+    far = ~near
+    leaves.append((np.nonzero(far)[0], delta, vraw[:, :-1][far], vraw[:, 1:][far]))
+    pid, col = np.nonzero(near)
+    xl, xr = pts[pid, col], pts[pid, col + 1]
+    vl, vr = vraw[pid, col], vraw[pid, col + 1]
+    dl, dr = dist[pid, col], dist[pid, col + 1]
+    del pts, flat, vraw, sing_dist, dist  # free the skeleton before refining
 
     for _depth in range(max_depth):
         if pid.size == 0:
@@ -134,43 +132,62 @@ def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
         dm = np.asarray(V.singularity_distance(mid), dtype=float)
         with np.errstate(invalid="ignore"):
             disc = delta * np.abs(2.0 * vm - vl - vr) / 4.0
-        disc = np.where(np.isnan(disc), np.inf, disc)
-        keep = disc > tol  # parents worth another level
+        keep = ~(disc <= tol)  # parents worth another level; NaN counts as unsettled
 
         # children of settled parents become leaves right away
-        for a, b in ((vl[~keep], vm[~keep]), (vm[~keep], vr[~keep])):
-            leaves.append((pid[~keep], half, a, b))
+        settled = np.flatnonzero(~keep)
+        pid_s = pid[settled]
+        leaves.append((pid_s, half, vl[settled], vm[settled]))
+        leaves.append((pid_s, half, vm[settled], vr[settled]))
 
-        pid_k = pid[keep]
-        c_pid = np.concatenate([pid_k, pid_k])
-        c_xl = np.concatenate([xl[keep], mid[keep]])
-        c_xr = np.concatenate([mid[keep], xr[keep]])
-        c_vl = np.concatenate([vl[keep], vm[keep]])
-        c_vr = np.concatenate([vm[keep], vr[keep]])
-        c_dl = np.concatenate([dl[keep], dm[keep]])
-        c_dr = np.concatenate([dm[keep], dr[keep]])
-
+        # children of kept parents, left ones before right ones: the far
+        # children form one leaf block and the near ones the next level
         delta = half
-        near = np.minimum(c_dl, c_dr) < _NEAR_FACTOR * math.sqrt(2.0 * delta)
-        leaves.append((c_pid[~near], delta, c_vl[~near], c_vr[~near]))
-        pid, xl, xr = c_pid[near], c_xl[near], c_xr[near]
-        vl, vr = c_vl[near], c_vr[near]
-        dl, dr = c_dl[near], c_dr[near]
+        thr = _NEAR_FACTOR * math.sqrt(2.0 * delta)
+        near_l = np.minimum(dl, dm) < thr
+        near_r = np.minimum(dm, dr) < thr
+        fl = np.flatnonzero(keep & ~near_l)
+        fr = np.flatnonzero(keep & ~near_r)
+        leaves.append((
+            np.concatenate((pid[fl], pid[fr])), delta,
+            np.concatenate((vl[fl], vm[fr])), np.concatenate((vm[fl], vr[fr])),
+        ))
+        nl = np.flatnonzero(keep & near_l)
+        nr = np.flatnonzero(keep & near_r)
+        pid = np.concatenate((pid[nl], pid[nr]))
+        xl, xr = np.concatenate((xl[nl], mid[nr])), np.concatenate((mid[nl], xr[nr]))
+        vl, vr = np.concatenate((vl[nl], vm[nr])), np.concatenate((vm[nl], vr[nr]))
+        dl, dr = np.concatenate((dl[nl], dm[nr])), np.concatenate((dm[nl], dr[nr]))
 
     if pid.size:
         leaves.append((pid, delta, vl, vr))
     return ends, leaves
 
 
-def _actions_from_leaves(leaves, size, lo, hi):
-    """Trapezoid actions with V clipped to [lo, hi], summed per path."""
-    action = np.zeros(size)
+def _actions_from_leaves(leaves, size, clips):
+    """Trapezoid actions per clip level ``(lo, hi)``, V clipped to [lo, hi]
+    and summed per path: one row per level.
+
+    A block whose values all lie inside a level's clip adds its unclipped
+    per-path sums, which are computed once and shared by those levels."""
+    actions = np.zeros((len(clips), size))
     for pid, delta, vl, vr in leaves:
         if pid.size == 0:
             continue
-        contrib = delta * (np.clip(vl, lo, hi) + np.clip(vr, lo, hi)) / 2.0
-        action += np.bincount(pid, weights=contrib, minlength=size)
-    return action
+        # np.minimum/np.maximum propagate NaN, which fails every comparison
+        vmin = np.minimum(vl.min(), vr.min())
+        vmax = np.maximum(vl.max(), vr.max())
+        plain = None
+        for action, (lo, hi) in zip(actions, clips):
+            if lo <= vmin and vmax <= hi:
+                if plain is None:
+                    plain = np.bincount(pid, weights=delta * (vl + vr) / 2.0,
+                                        minlength=size)
+                action += plain
+            else:
+                contrib = delta * (np.clip(vl, lo, hi) + np.clip(vr, lo, hi)) / 2.0
+                action += np.bincount(pid, weights=contrib, minlength=size)
+    return actions
 
 
 def _fk_ladder(V, psi, x, t, n_paths, seed, n_steps, tol, max_depth, clips,
@@ -188,8 +205,8 @@ def _fk_ladder(V, psi, x, t, n_paths, seed, n_steps, tol, max_depth, clips,
         pvals = np.asarray(psi(ends), dtype=float)
         sums = np.empty(len(clips))
         sqs = np.empty(len(clips))
-        for i, (lo, hi) in enumerate(clips):
-            w = np.exp(-_actions_from_leaves(leaves, size, lo, hi)) * pvals
+        for i, action in enumerate(_actions_from_leaves(leaves, size, clips)):
+            w = np.exp(-action) * pvals
             sums[i] = w.sum()
             sqs[i] = (w * w).sum()
         return size, sums, sqs, sum(p[0].size for p in leaves)

@@ -33,6 +33,14 @@ SQRT_PI = math.sqrt(math.pi)
 # ---------------------------------------------------------------------------
 
 
+def _norm3(v):
+    """``np.linalg.norm(v, axis=1)`` of an ``(n, 3)`` array, bit for bit: the
+    same left-to-right sum of squares without numpy's slow reduction over a
+    length-3 axis."""
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def smoothed_coulomb_dist(s, u):
     """int p(s,x,y) |y-c|^{-1} dy on R^3 as a function of u = |x - c|.
 
@@ -183,14 +191,14 @@ class CoulombPotential(Potential):
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts - self.center, axis=1)
+        r = _norm3(pts - self.center)
         with np.errstate(divide="ignore"):
             mag = self.charge / r
         return -mag if self.attractive else mag
 
     def singularity_distance(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=1)
+        return _norm3(pts - self.center)
 
     def smoothed_abs(self, s, x):
         u = np.linalg.norm(np.asarray(x, dtype=float) - self.center)
@@ -351,10 +359,10 @@ class MolecularPotential(Potential):
             val = np.zeros(blocks.shape[0])
             for j in range(self.m):
                 for i in range(self.l):
-                    val -= self.Z[i] / np.linalg.norm(blocks[:, j] - self.R[i], axis=1)
+                    val -= self.Z[i] / _norm3(blocks[:, j] - self.R[i])
             for i in range(self.m):
                 for j in range(i + 1, self.m):
-                    val += 1.0 / np.linalg.norm(blocks[:, i] - blocks[:, j], axis=1)
+                    val += 1.0 / _norm3(blocks[:, i] - blocks[:, j])
         return val
 
     def singularity_distance(self, pts):
@@ -362,15 +370,13 @@ class MolecularPotential(Potential):
         dist = np.full(blocks.shape[0], np.inf)
         for j in range(self.m):
             for i in range(self.l):
-                dist = np.minimum(
-                    dist, np.linalg.norm(blocks[:, j] - self.R[i], axis=1)
-                )
+                dist = np.minimum(dist, _norm3(blocks[:, j] - self.R[i]))
         for i in range(self.m):
             for j in range(i + 1, self.m):
                 # orthogonal distance to the coincidence subspace {x_i = x_j}
                 dist = np.minimum(
                     dist,
-                    np.linalg.norm(blocks[:, i] - blocks[:, j], axis=1) / math.sqrt(2),
+                    _norm3(blocks[:, i] - blocks[:, j]) / math.sqrt(2),
                 )
         return dist
 

@@ -62,17 +62,24 @@ def map_chunks(fn, n_total, seed, tag, chunk=DEFAULT_CHUNK, workers=1):
     """
     if n_total < 1:
         raise PrecisionError(f"need at least one sample, got {n_total}")
-    sizes = chunk_sizes(n_total, chunk)
-    jobs = [(k, size) for k, size in enumerate(sizes)]
 
     def run(job):
         k, size = job
         return fn(substream(seed, tag, k), size, k)
 
-    if workers <= 1 or len(jobs) <= 1:
-        return [run(j) for j in jobs]
+    return map_ordered(run, enumerate(chunk_sizes(n_total, chunk)), workers)
+
+
+def map_ordered(fn, items, workers=1):
+    """``[fn(item) for item in items]``, on a thread pool when ``workers > 1``.
+
+    Results come back in item order whichever item finishes first, and an
+    exception raised by ``fn`` reaches the caller."""
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, jobs))
+        return list(pool.map(fn, items))
 
 
 def merge_chunks(parts):

@@ -280,3 +280,20 @@ def test_kato_scaling_property(alpha, t):
     assert bounds.C_constant(COULOMB, 0.0, alpha, t) == pytest.approx(
         2.0 ** (-alpha / 2.0) * base, rel=1e-12
     )
+
+
+def test_pair_point_estimates_do_not_depend_on_workers():
+    phi = functions.BallIndicator(np.zeros(3), 1.0)
+    pairs = bounds.pair_grid_euclidean(E3, anchors=[np.zeros(3)], scale=1.0, k_max=6)
+    theorem_rows, quotients = [], []
+    for workers in (1, 2, 8):
+        report = bounds.verify_main_theorem(
+            HYDROGEN, phi, 0.0, 0.5, 0.5, n_paths=256, seed=7, workers=workers
+        )
+        theorem_rows.append(report.details["rows"])
+        quotients.append(bounds.measured_holder_quotient_mc(
+            HYDROGEN, phi, 0.5, 0.5, pairs, 256, 7, workers=workers
+        ))
+    assert len(theorem_rows[0]) > 1
+    assert theorem_rows[1] == theorem_rows[0] and theorem_rows[2] == theorem_rows[0]
+    assert quotients[1] == quotients[0] and quotients[2] == quotients[0]

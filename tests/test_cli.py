@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +154,27 @@ def test_all_suites_smoke(tmp_path):
     assert run(["all", "--config", str(cfg), "--seed", "9",
                 "--out", str(out)]) == 0
     assert run(["report", str(out)]) == 0
+
+
+@pytest.mark.parametrize("suites,config", [
+    ("kato,duhamel", {"duhamel": {"step_ladder": "x"}}),
+    ("kato,no-such-suite", {}),
+])
+def test_all_checks_every_suite_before_running(tmp_path, capsys, suites, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run(["all", "--config", str(cfg), "--suites", suites, "--seed", "1",
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs every run ~0.6 s; only the KS checks import it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, katoflow.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

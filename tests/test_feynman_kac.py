@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from katoflow import feynman_kac as fk
-from katoflow import functions, potentials, spaces
+from katoflow import functions, potentials, spaces, streams
 from katoflow.errors import NonKatoError, TimeDomainError
 
 E1 = spaces.euclidean(1)
@@ -262,3 +262,108 @@ def test_fk_bounded_potential_on_sphere():
         seed=2, grid_step=0.05,
     )
     assert est.value == pytest.approx(math.exp(-0.3), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_chunk_leaves_tile_each_path(x):
+    """Every path's leaves cover [0, t] once, and fk_evaluate counts them all."""
+    t, size, seed = 0.5, 256, 5
+    ends, leaves = fk._chunk_leaves(
+        E3, HYDROGEN, np.array(x), t, size,
+        streams.substream(seed, streams.TAG_FK, 0), 100, 5e-5, 16,
+    )
+    assert ends.shape == (size, 3)
+    pid = np.concatenate([block[0] for block in leaves])
+    delta = np.concatenate([np.full(block[0].size, block[1]) for block in leaves])
+    np.testing.assert_allclose(
+        np.bincount(pid, weights=delta, minlength=size), t, rtol=0, atol=1e-12
+    )
+    n_far = leaves[0][0].size
+    if x[0] == 1.0:
+        assert n_far > pid.size / 2  # away from the nucleus: mostly unrefined
+    else:
+        assert n_far < pid.size / 2  # from the nucleus: mostly refined leaves
+    est = fk.fk_evaluate(HYDROGEN, PSI_H, np.array(x), t, size, seed=seed)
+    assert est.action_integrator["n_leaves"] == pid.size
+
+
+def _reference_chunk_leaves(V, x, t, size, rng, n_steps, tol, max_depth):
+    """The refinement written plainly: all children of kept parents, left ones
+    first, then split into far leaves and near intervals."""
+    from katoflow import paths
+
+    h = t / n_steps
+    _times, pts = paths.sample_paths_batch(E3, x, t, h, size, rng)
+    flat = pts.reshape(-1, 3)
+    with np.errstate(divide="ignore"):
+        v = V(flat).reshape(size, n_steps + 1)
+    dist = V.singularity_distance(flat).reshape(size, n_steps + 1)
+    pid = np.repeat(np.arange(size), n_steps)
+    xl, xr = pts[:, :-1].reshape(-1, 3), pts[:, 1:].reshape(-1, 3)
+    vl, vr = v[:, :-1].ravel(), v[:, 1:].ravel()
+    dl, dr = dist[:, :-1].ravel(), dist[:, 1:].ravel()
+    delta = h
+    near = np.minimum(dl, dr) < fk._NEAR_FACTOR * math.sqrt(2.0 * delta)
+    leaves = [(pid[~near], delta, vl[~near], vr[~near])]
+    pid, xl, xr, vl, vr, dl, dr = (a[near] for a in (pid, xl, xr, vl, vr, dl, dr))
+    for _ in range(max_depth):
+        if pid.size == 0:
+            break
+        mid = paths.bridge_midpoints(xl, xr, delta, rng)
+        with np.errstate(divide="ignore"):
+            vm = V(mid)
+        dm = V.singularity_distance(mid)
+        with np.errstate(invalid="ignore"):
+            disc = delta * np.abs(2.0 * vm - vl - vr) / 4.0
+        keep = np.where(np.isnan(disc), np.inf, disc) > tol
+        delta /= 2.0
+        leaves.append((pid[~keep], delta, vl[~keep], vm[~keep]))
+        leaves.append((pid[~keep], delta, vm[~keep], vr[~keep]))
+        kids = [np.concatenate([a[keep], b[keep]]) for a, b in (
+            (pid, pid), (xl, mid), (mid, xr), (vl, vm), (vm, vr), (dl, dm), (dm, dr))]
+        near = np.minimum(kids[5], kids[6]) < fk._NEAR_FACTOR * math.sqrt(2.0 * delta)
+        leaves.append((kids[0][~near], delta, kids[3][~near], kids[4][~near]))
+        pid, xl, xr, vl, vr, dl, dr = (a[near] for a in kids)
+    if pid.size:
+        leaves.append((pid, delta, vl, vr))
+    return leaves
+
+
+@pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_chunk_leaves_match_the_plain_refinement(x):
+    """Same leaf blocks, in the same order, with the same bits: the per-path
+    action sums, and so every Feynman-Kac estimate, depend on that order."""
+    args = (np.array(x), 0.5, 256)
+    _ends, leaves = fk._chunk_leaves(
+        E3, HYDROGEN, *args, streams.substream(5, streams.TAG_FK, 0), 100, 5e-5, 16
+    )
+    ref = _reference_chunk_leaves(
+        HYDROGEN, *args, streams.substream(5, streams.TAG_FK, 0), 100, 5e-5, 16
+    )
+    assert len(leaves) == len(ref)
+    for got, want in zip(leaves, ref):
+        assert got[1] == want[1]
+        for a, b in zip((got[0], got[2], got[3]), (want[0], want[2], want[3])):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_actions_share_unclipped_sums_bit_for_bit():
+    """Every clip level's actions equal clipping that level on its own,
+    including blocks that hold -inf or NaN."""
+    _ends, leaves = fk._chunk_leaves(
+        E3, HYDROGEN, np.zeros(3), 0.5, 256,
+        streams.substream(7, streams.TAG_FK, 0), 100, 5e-5, 16,
+    )
+    leaves.append((np.array([0, 1]), 1e-3, np.array([-np.inf, 1.0]), np.array([2.0, 3.0])))
+    # a NaN must not hide the out-of-clip -1e3 beside it
+    leaves.append((np.array([2, 3]), 1e-3, np.array([np.nan, -1e3]), np.array([2.0, 3.0])))
+    clips = [(-cap, cap) for cap in 20.0 * 2.0 ** np.arange(7)]
+    actions = fk._actions_from_leaves(leaves, 256, clips)
+    assert actions.shape == (len(clips), 256)
+    for action, (lo, hi) in zip(actions, clips):
+        want = np.zeros(256)
+        for pid, delta, vl, vr in leaves:
+            contrib = delta * (np.clip(vl, lo, hi) + np.clip(vr, lo, hi)) / 2.0
+            want += np.bincount(pid, weights=contrib, minlength=256)
+        np.testing.assert_array_equal(action, want)
+    assert np.isnan(actions[:, 2]).all() and np.isfinite(actions[:, [0, 3]]).all()

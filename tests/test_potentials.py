@@ -73,6 +73,29 @@ def test_molecular_value_and_singularities():
     assert d == pytest.approx(1.0)  # nucleus distance beats 2/sqrt(2)
 
 
+def test_coulomb_terms_match_numpy_norm_bit_for_bit():
+    """The potentials' distances are np.linalg.norm's, to the last bit, so
+    Feynman-Kac estimates do not move."""
+    rng = np.random.default_rng(3)
+    pts3 = rng.standard_normal((5000, 3)) * rng.uniform(1e-8, 50.0, (5000, 1))
+    pts6 = rng.standard_normal((5000, 6)) * rng.uniform(1e-8, 50.0, (5000, 1))
+    R = np.array([(0.3, -0.2, 0.1), (-1.0, 0.5, 2.0)])
+    mol = potentials.MolecularPotential(E6, 2, R, [1.0, 2.0])
+    b = pts6.reshape(-1, 2, 3)
+    nuc = [np.linalg.norm(b[:, j] - R[i], axis=1) for j in range(2) for i in range(2)]
+    pair = np.linalg.norm(b[:, 0] - b[:, 1], axis=1)
+    want_v = np.zeros(len(b))
+    for r, z in zip(nuc, [1.0, 2.0, 1.0, 2.0]):
+        want_v -= z / r
+    want_v += 1.0 / pair
+    np.testing.assert_array_equal(mol(pts6), want_v)
+    want_d = np.minimum.reduce(nuc + [pair / math.sqrt(2)])
+    np.testing.assert_array_equal(mol.singularity_distance(pts6), want_d)
+    r3 = np.linalg.norm(pts3 - COULOMB.center, axis=1)
+    np.testing.assert_array_equal(COULOMB(pts3), 1.0 / r3)
+    np.testing.assert_array_equal(COULOMB.singularity_distance(pts3), r3)
+
+
 def test_declared_singular_locus_matches_blowup():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((50, 3))

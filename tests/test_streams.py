@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -44,3 +45,30 @@ def test_settle_level_skips_infinite_stderr():
 
 def test_settle_level_reports_unsettled_last_level():
     assert streams.settle_level([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]) == (2, False)
+
+
+def test_map_ordered_keeps_item_order_when_later_items_finish_first():
+    second_done = threading.Event()
+    finished = []
+
+    def fn(i):
+        if i == 0:
+            assert second_done.wait(timeout=10)
+        finished.append(i)
+        if i == 1:
+            second_done.set()
+        return 10 * i
+
+    assert streams.map_ordered(fn, range(2), workers=2) == [0, 10]
+    assert finished == [1, 0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_ordered_passes_exceptions_to_the_caller(workers):
+    def fn(i):
+        if i == 2:
+            raise ValueError("item 2")
+        return i
+
+    with pytest.raises(ValueError, match="item 2"):
+        streams.map_ordered(fn, range(4), workers=workers)
