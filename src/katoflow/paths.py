@@ -26,8 +26,8 @@ def _grid(horizon, grid_step):
 def sample_paths_batch(space, x, horizon, grid_step, n, rng):
     """(times, positions of shape (n, n_times, dim)) of n paths on the grid.
 
-    Euclidean steps are exact Gaussian transitions; sphere steps use the
-    geodesic walk of ``StateSpace``."""
+    Euclidean steps are exact Gaussian transitions; sphere steps are
+    ``StateSpace._sphere_step`` moves, exact for steps of at least 1e-3 r^2."""
     if horizon <= 0:
         raise TimeDomainError("horizon must be > 0")
     if not 0 < grid_step <= horizon:
@@ -46,7 +46,7 @@ def sample_paths_batch(space, x, horizon, grid_step, n, rng):
     pts[:, 0, :] = x
     cur = np.tile(x, (n, 1))
     for i in range(1, len(times)):
-        cur = space._sphere_walk(steps[i - 1], cur, rng)
+        cur = space._sphere_step(steps[i - 1], cur, rng)
         pts[:, i, :] = cur
     return times, pts
 

@@ -21,7 +21,8 @@ from .errors import InvalidPointError, TimeDomainError, TooSmallTimeError
 
 _SPHERE_MIN_TIME = 1e-3  # below this the spectral series is not certified
 _SPHERE_TAIL_TOL = 1e-13
-_SPHERE_SUBSTEP = 1e-3  # geodesic-walk substep duration (intrinsic time)
+_SPHERE_TABLE = 257  # angle-table nodes that bracket each inverse-CDF solve
+_SPHERE_MAX_ITER = 64  # a cap only: the residual test stops after 2-4 steps
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,80 @@ class StateSpace:
     def sample_transition(self, t, x, rng):
         return self.sample_transition_batch(t, x, 1, rng)[0]
 
+    def sphere_angle_cdf(self, t, theta):
+        """P(Theta <= theta) for the polar angle of X_t about its start;
+        vectorized in theta, exact up to the certified 1e-13 series tail."""
+        if self.kind != "sphere2":
+            raise InvalidPointError("sphere_angle_cdf needs a sphere2 space")
+        if t <= 0:
+            raise TimeDomainError("heat kernel requires t > 0")
+        cdf = self._sphere_angle_series(t)
+        return npleg.legval(np.cos(np.asarray(theta, dtype=float)), cdf)
+
+    def _sphere_angle_series(self, t):
+        """Legendre coefficients in u = cos(theta) of P(Theta <= theta).
+
+        The law of u has CDF F(u) = (1+u)/2 + 1/2 sum_{l>=1} c_l (P_{l+1} -
+        P_{l-1})(u) with c_l = exp(-l(l+1)t/r^2), from the integral of P_l;
+        P(Theta <= theta) = 1 - F(cos theta)."""
+        ell_max = self.sphere_series_length(t)
+        ells = np.arange(ell_max + 3)
+        c = np.exp(-ells * (ells + 1) * (t / (self.radius * self.radius)))
+        c[ell_max + 1:] = 0.0
+        cdf = np.empty(ell_max + 2)
+        cdf[0] = 0.5 * (1.0 + c[1])
+        cdf[1:] = -0.5 * (c[:-2] - c[2:])
+        return cdf
+
+    def _sphere_angle_quantile(self, t, v):
+        """Polar angles theta with P(Theta <= theta) = v, to 1e-13 in v.
+
+        A theta table on the angle scale sqrt(t) brackets each v; safeguarded
+        Newton steps in theta (not in u, which resolves theta near the pole
+        only to ~1.5e-8) keep the bracket, bisect when a step leaves it, and
+        stop once the residual or the bracket has converged."""
+        cdf = self._sphere_angle_series(t)
+        dcdf = npleg.legder(cdf)
+        v = np.asarray(v, dtype=float)
+        # P(Theta > 16 sqrt(t)/r) is about exp(-64): one node at pi covers it
+        top = min(math.pi, 16.0 * math.sqrt(t) / self.radius)
+        nodes = np.linspace(0.0, top, _SPHERE_TABLE)
+        if top < math.pi:
+            nodes = np.append(nodes, math.pi)
+        table = np.clip(npleg.legval(np.cos(nodes), cdf), 0.0, 1.0)
+        table[0], table[-1] = 0.0, 1.0
+        np.maximum.accumulate(table, out=table)
+        k = np.clip(np.searchsorted(table, v, side="right"), 1, len(nodes) - 1)
+        lo, hi = nodes[k - 1], nodes[k]
+        # start by interpolating in sqrt(-log(1 - v)), in which the flat-space
+        # angle 2 sqrt(t) sqrt(-log(1 - v)) / r is exactly linear
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flat = np.sqrt(-np.log1p(-table))
+            lam = (np.sqrt(-np.log1p(-v)) - flat[k - 1]) / (flat[k] - flat[k - 1])
+        theta = lo + np.clip(np.nan_to_num(lam, nan=0.5), 0.0, 1.0) * (hi - lo)
+        idx = np.arange(v.size)
+        for _ in range(_SPHERE_MAX_ITER):
+            th = theta[idx]
+            u = np.cos(th)
+            res = npleg.legval(u, cdf) - v[idx]
+            live = (np.abs(res) > _SPHERE_TAIL_TOL) & (
+                hi[idx] - lo[idx] > 4.0 * np.spacing(hi[idx])
+            )
+            idx, th, u, res = idx[live], th[live], u[live], res[live]
+            if idx.size == 0:
+                break
+            lo[idx] = np.where(res < 0, th, lo[idx])
+            hi[idx] = np.where(res > 0, th, hi[idx])
+            # Newton in theta, with dP/dtheta = -sin(theta) dP/du
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = th + res / (np.sin(th) * npleg.legval(u, dcdf))
+            inside = (step > lo[idx]) & (step < hi[idx])  # False on nan
+            theta[idx] = np.where(inside, step, 0.5 * (lo[idx] + hi[idx]))
+        return theta
+
     def sample_transition_batch(self, t, x, n, rng):
-        """n independent samples of X_t started at x; exact on R^d,
-        geodesic random walk on the sphere."""
+        """n independent samples of X_t started at x; exact on R^d, and on
+        the sphere exact for t >= 1e-3 r^2 (one geodesic step below)."""
         if t < 0:
             raise TimeDomainError("transition requires t >= 0")
         x = self.check_point(x)
@@ -139,28 +211,32 @@ class StateSpace:
             return np.tile(x, (n, 1))
         if self.kind == "euclidean":
             return x + math.sqrt(2.0 * t) * rng.standard_normal((n, self.dimension))
-        return self._sphere_walk(t, np.tile(x, (n, 1)), rng)
+        return self._sphere_step(t, np.tile(x, (n, 1)), rng)
 
-    def _sphere_walk(self, t, pts, rng):
+    def _sphere_step(self, t, pts, rng):
+        """One Brownian move of duration t from each row of pts.
+
+        The direction is uniform in the tangent plane. The geodesic angle is
+        drawn by inverse CDF of the certified series where t/r^2 >=
+        _SPHERE_MIN_TIME, and below that by one geodesic-walk step: a
+        chi(2) length of variance 2t per tangent coordinate."""
         r = self.radius
-        t_eff = t / (r * r)
-        n_sub = max(1, math.ceil(t_eff / _SPHERE_SUBSTEP))
-        h = t / n_sub
-        p = pts.copy()
-        n = p.shape[0]
-        for _ in range(n_sub):
-            v = rng.standard_normal((n, 3))
+        n = pts.shape[0]
+        v = rng.standard_normal((n, 3))
+        if t / (r * r) >= _SPHERE_MIN_TIME:
+            ang = self._sphere_angle_quantile(t, rng.random(n))
+        else:
             g = rng.standard_normal((n, 2))
-            phat = p / np.linalg.norm(p, axis=1, keepdims=True)
-            w = v - np.sum(v * phat, axis=1, keepdims=True) * phat
-            wn = np.linalg.norm(w, axis=1, keepdims=True)
-            # a projected draw can degenerate only with probability 0
-            wn = np.where(wn < 1e-300, 1.0, wn)
-            u = w / wn
-            step = np.sqrt(2.0 * h * np.sum(g * g, axis=1))  # chi(2) length
-            ang = (step / r)[:, None]
-            p = np.cos(ang) * p + np.sin(ang) * r * u
-            p *= r / np.linalg.norm(p, axis=1, keepdims=True)
+            ang = np.sqrt(2.0 * t * np.sum(g * g, axis=1)) / r
+        phat = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        w = v - np.sum(v * phat, axis=1, keepdims=True) * phat
+        wn = np.linalg.norm(w, axis=1, keepdims=True)
+        # a projected draw can degenerate only with probability 0
+        wn = np.where(wn < 1e-300, 1.0, wn)
+        u = w / wn
+        ang = ang[:, None]
+        p = np.cos(ang) * pts + np.sin(ang) * r * u
+        p *= r / np.linalg.norm(p, axis=1, keepdims=True)
         return p
 
     def sample_transition_each(self, ts, x, rng):
@@ -239,6 +315,21 @@ def exact_euclidean_moment(d, t, order):
     raise TimeDomainError("order must be 2 or 4")
 
 
+def exact_sphere_moment(space, t, order):
+    """E[d^order] under p(t, x, .) on the sphere, by quadrature of the
+    certified series over the polar angle; order 0 gives the total mass."""
+    r = space.radius
+
+    def dens(theta):
+        weight = (r * theta) ** order
+        return weight * 2.0 * math.pi * r * r * math.sin(theta) * float(
+            space.sphere_kernel_theta(t, theta)
+        )
+
+    val, _ = integrate.quad(dens, 0.0, math.pi, limit=200)
+    return val
+
+
 def conservativeness_defect(space, t, x):
     """|integral of p(t,x,.) dm - 1| by radial quadrature."""
     x = space.check_point(x)
@@ -257,15 +348,7 @@ def conservativeness_defect(space, t, x):
         hi = 20.0 * math.sqrt(t) + 1.0
         val, _ = integrate.quad(dens, 0.0, hi, limit=200)
         return abs(val - 1.0)
-    r = space.radius
-
-    def dens(theta):
-        return 2.0 * math.pi * r * r * math.sin(theta) * float(
-            space.sphere_kernel_theta(t, theta)
-        )
-
-    val, _ = integrate.quad(dens, 0.0, math.pi, limit=200)
-    return abs(val - 1.0)
+    return abs(exact_sphere_moment(space, t, 0) - 1.0)
 
 
 def chapman_kolmogorov_defect(space, t, s, x, y):

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from katoflow import cli
+from katoflow import cli, spaces
 
 
 def run(args):
@@ -112,6 +114,33 @@ def test_report_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _sphere_moment_rows(out):
+    with open(out / "moments_results.csv", newline="") as fh:
+        return [r for r in csv.DictReader(fh) if r["space"] == "sphere2(1)"]
+
+
+def test_sphere_moment_rows_catch_a_sampler_at_the_wrong_time(tmp_path, monkeypatch):
+    """The sphere rows test the exact E[d^2]; a sampler run at 1.1 t fails them.
+    Below the certified range (t = 5e-4) only monotonicity is checked."""
+    args = ["moments", "--seed", "4", "--set", "dims=[1]",
+            "--set", "t_grid=[0.25, 1.0, 5e-4]"]
+    assert run(args + ["--out", str(tmp_path / "ok")]) == 0
+    rows = _sphere_moment_rows(tmp_path / "ok")
+    assert [float(r["t"]) for r in rows] == [1.0, 0.25, 5e-4]
+    assert [math.isfinite(float(r["expected"])) for r in rows] == [True, True, False]
+
+    exact = spaces.StateSpace.sample_transition_batch
+
+    def late(self, t, x, n, rng):
+        return exact(self, 1.1 * t if self.kind == "sphere2" else t, x, n, rng)
+
+    monkeypatch.setattr(spaces.StateSpace, "sample_transition_batch", late)
+    assert run(args + ["--out", str(tmp_path / "late")]) == 1
+    assert [r["verdict"] for r in _sphere_moment_rows(tmp_path / "late")] == [
+        "violated", "violated", "holds"
+    ]
+
+
 def test_set_override_requires_key_value(tmp_path):
     assert run(["fk", "--seed", "1", "--out", str(tmp_path / "o"),
                 "--set", "garbage"]) == 2
@@ -159,6 +188,7 @@ def test_all_suites_smoke(tmp_path):
 @pytest.mark.parametrize("suites,config", [
     ("kato,duhamel", {"duhamel": {"step_ladder": "x"}}),
     ("kato,no-such-suite", {}),
+    ("kato,duhamel", {"duhamel": {"step_ladder": [0]}}),  # raised while computing
 ])
 def test_all_checks_every_suite_before_running(tmp_path, capsys, suites, config):
     cfg = tmp_path / "cfg.json"

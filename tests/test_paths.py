@@ -56,6 +56,18 @@ def test_endpoint_law_matches_transition():
         assert res.pvalue > 1e-3
 
 
+def test_sphere_two_step_endpoint_has_one_step_law():
+    """Two exact steps of h compose to the transition at 2h."""
+    s2 = spaces.sphere2(1.0)
+    h, n = 0.05, 50_000
+    north = np.array([0.0, 0.0, 1.0])
+    _, pts = paths.sample_paths_batch(s2, north, 2 * h, h, n, np.random.default_rng(9))
+    assert pts.shape == (n, 3, 3)
+    theta = s2.distance_batch(north[None, :], pts[:, -1])
+    res = stats.kstest(theta, lambda a: s2.sphere_angle_cdf(2 * h, a))
+    assert res.pvalue > 1e-3
+
+
 def test_determinism_bitwise():
     def refined(seed):
         _, pts = paths.sample_paths_batch(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from katoflow import spaces
 from katoflow.errors import InvalidPointError, TimeDomainError, TooSmallTimeError
@@ -150,7 +150,7 @@ def test_transition_marginal_ks_sphere():
     rng = np.random.default_rng(55)
     t = 0.5
     north = np.array([0.0, 0.0, 1.0])
-    ys = S2._sphere_walk(t, np.tile(north, (100_000, 1)), rng)
+    ys = S2.sample_transition_batch(t, north, 100_000, rng)
     cosang = np.clip(ys[:, 2], -1.0, 1.0)
     grid = np.linspace(-1.0, 1.0, 4001)
     dens = 2.0 * math.pi * S2.sphere_kernel_theta(t, np.arccos(np.clip(grid, -1, 1)))
@@ -161,6 +161,87 @@ def test_transition_marginal_ks_sphere():
 
     res = stats.kstest(cosang, lambda c: np.interp(c, grid, cdf_vals))
     assert res.pvalue > 1e-3
+
+
+def _kernel_angle_cdf(space, t):
+    """P(Theta <= theta) on a fine theta grid, by the trapezoid rule on the
+    kernel series: a reference independent of the sampler's Legendre CDF."""
+    r = space.radius
+    top = min(math.pi, 20.0 * math.sqrt(t) / r)
+    grid = np.linspace(0.0, top, 20_001)
+    dens = 2.0 * math.pi * r * r * np.sin(grid) * space.sphere_kernel_theta(t, grid)
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
+    assert abs(cdf[-1] - 1.0) < 1e-6
+    return lambda theta: np.interp(theta, grid, cdf)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+@pytest.mark.parametrize("tau", [1e-3, 0.05, 1.0])
+def test_sphere_polar_angle_ks_against_kernel(radius, tau):
+    """The polar angle of X_t about its start follows the kernel; tau = t/r^2."""
+    space = spaces.sphere2(radius)
+    t = tau * radius * radius
+    north = np.array([0.0, 0.0, radius])
+    ys = space.sample_transition_batch(t, north, 100_000, np.random.default_rng(31))
+    theta = space.distance_batch(north[None, :], ys) / radius
+    assert stats.kstest(theta, _kernel_angle_cdf(space, t)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("radius,t", [(1.0, 0.3), (2.0, 0.5), (1.0, 2e-3)])
+def test_sphere_transition_mean_contracts_start(radius, t):
+    """E[X_t] = exp(-2t/r^2) x: the l = 1 eigenvalue, which fails for a wrong
+    rotation of the angle onto x or a biased azimuth."""
+    x = radius * np.array([2.0, -1.0, 2.0]) / 3.0
+    n = 200_000
+    ys = spaces.sphere2(radius).sample_transition_batch(
+        t, x, n, np.random.default_rng(41)
+    )
+    expected = math.exp(-2.0 * t / radius**2) * x
+    stderr = ys.std(axis=0) / math.sqrt(n)
+    assert np.all(np.abs(ys.mean(axis=0) - expected) <= 4.0 * stderr)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.25, 1.0, 3.0])
+def test_sphere_angle_quantile_converges_to_residual_tolerance(t):
+    v = np.random.default_rng(5).random(20_000)
+    theta = S2._sphere_angle_quantile(t, v)
+    assert np.max(np.abs(S2.sphere_angle_cdf(t, theta) - v)) <= 1e-13
+    assert np.array_equal(S2._sphere_angle_quantile(t, [0.0]), [0.0])
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 1.0])
+def test_sphere_angle_cdf_matches_kernel_quadrature(t):
+    def dens(a):
+        return 2.0 * math.pi * math.sin(a) * float(S2.sphere_kernel_theta(t, a))
+
+    for theta in (0.5 * math.sqrt(t), 2.0 * math.sqrt(t), math.pi):
+        ref, _ = integrate.quad(dens, 0.0, theta, epsabs=1e-15, limit=200)
+        assert S2.sphere_angle_cdf(t, theta) == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("radius,t", [(1.0, 5e-4), (2.0, 2e-3)])
+def test_sphere_step_below_certified_range_is_one_geodesic_step(radius, t):
+    """Below t = 1e-3 r^2 one chi(2) step is taken: E[d^2] = 4t."""
+    space, n = spaces.sphere2(radius), 100_000
+    north = np.array([0.0, 0.0, radius])
+    ys = space.sample_transition_batch(t, north, n, np.random.default_rng(12))
+    sq = space.distance_batch(north[None, :], ys) ** 2
+    assert abs(sq.mean() - 4.0 * t) <= 3.0 * sq.std() / math.sqrt(n)
+
+
+def test_exact_sphere_moment():
+    assert spaces.exact_sphere_moment(S2, 1e-3, 0) == pytest.approx(1.0, abs=1e-12)
+    # E[theta^2] = 4t - 4t^2/3 + O(t^3), from E[1 - cos theta] = 1 - exp(-2t)
+    assert spaces.exact_sphere_moment(S2, 1e-3, 2) == pytest.approx(
+        4e-3 - 4e-6 / 3.0, abs=1e-9
+    )
+    # uniform limit: int theta^2 sin(theta)/2 = pi^2/2 - 2
+    assert spaces.exact_sphere_moment(S2, 20.0, 2) == pytest.approx(
+        math.pi**2 / 2.0 - 2.0, rel=1e-12
+    )
+    assert spaces.exact_sphere_moment(spaces.sphere2(2.0), 4.0, 2) == pytest.approx(
+        4.0 * spaces.exact_sphere_moment(S2, 1.0, 2), rel=1e-10
+    )
 
 
 def test_sphere_walk_stays_on_sphere():
