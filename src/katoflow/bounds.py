@@ -67,10 +67,10 @@ def heat_semigroup_1d(t, f, xs):
     return out
 
 
-def sphere_zonal_coefficients(profile, ell_max, breaks_cos=(), n_nodes=200):
-    """c_l = int_{-1}^1 P_l(s) g(s) ds by Gauss-Legendre split at breaks."""
+def sphere_zonal_coefficients(profile, ell_max, breaks_cos=()):
+    """c_l = int_{-1}^1 P_l(s) g(s) ds by 200-node Gauss-Legendre split at breaks."""
     edges = [-1.0] + sorted(b for b in breaks_cos if -1.0 < b < 1.0) + [1.0]
-    nodes, weights = npleg.leggauss(n_nodes)
+    nodes, weights = npleg.leggauss(200)
     coeffs = np.zeros(ell_max + 1)
     for a, b in zip(edges, edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

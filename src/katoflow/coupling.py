@@ -204,18 +204,15 @@ def check_maximality(taus, d, separation, t_grid, strategy=REFLECTION):
     return report, rows
 
 
-def check_equivalence_ladder(
-    space, x, y, t, alpha_grid, f_family, n_runs, seed, grid_step, workers=1
-):
-    """Verify implications (i) => (ii) => (iii) with F(t) := 2*P(tau>t)/d(x,y)."""
-    x = space.check_point(x)
-    y = space.check_point(y)
+def check_equivalence_ladder(space, x, y, t, alpha_grid, f_family, endpoints):
+    """Verify implications (i) => (ii) => (iii) with F(t) := 2*P(tau>t)/d(x,y).
+
+    ``endpoints`` is the ``(X_t, Y_t, coupled)`` triple that
+    ``simulate_reflection_endpoints`` returns for the same x, y and t."""
     dist = space.distance(x, y)
     if dist == 0:
         raise TimeDomainError("the equivalence ladder needs d(x, y) > 0")
-    xs, ys, coupled = simulate_reflection_endpoints(
-        space, x, y, t, grid_step, n_runs, seed, workers=workers
-    )
+    xs, ys, coupled = endpoints
     n = xs.shape[0]
     p_hat = float(np.mean(~coupled))
     se_p = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)

@@ -3,8 +3,11 @@
 The estimator averages exp(-int_0^t V(w(s)) ds) * Psi(w(t)) over Brownian
 paths.  The action integral is a trapezoid on the path skeleton with
 adaptive Brownian-bridge refinement near singularity approaches, and V is
-clipped to a cap ladder whose level is chosen by the epsilon-halving rule
-(stop once the estimate moves by less than half a standard error).
+clipped to the caps 2^k/eps0 (eps0 = 0.05, k = 0..6), of which the
+epsilon-halving rule picks one (stop once the estimate moves by less than
+half a standard error).  fk_evaluate is the one estimator that picks a cap level;
+the Kato Monte Carlo route averages its raw weights, and truncation_ladder
+reports every level it is given.
 """
 
 import math
@@ -23,7 +26,9 @@ from .errors import (
     UnsupportedRefinementError,
 )
 
+_EPS0 = 0.05  # first cap level 1/_EPS0
 _CAP_LEVELS = 7
+_MAX_SUBDIVISIONS = 64  # Khashminskii splits of [0, r] tried before giving up
 _NEAR_FACTOR = 4.0  # refine when dist(endpoint, singularity) < 4*sqrt(2*delta)
 
 
@@ -254,7 +259,6 @@ def fk_evaluate(
     n_paths,
     seed,
     grid_step=None,
-    eps0=0.05,
     tol=5e-5,
     max_depth=16,
     kato0=None,
@@ -270,7 +274,7 @@ def fk_evaluate(
     n_steps = _grid_steps(t, grid_step)
     grid_step = t / n_steps
 
-    caps = (1.0 / eps0) * 2.0 ** np.arange(_CAP_LEVELS)
+    caps = (1.0 / _EPS0) * 2.0 ** np.arange(_CAP_LEVELS)
     lo_bound = V.lower_bound  # finite => negative clipping is inert
     clips = [(-cap if lo_bound is None else max(-cap, lo_bound), cap) for cap in caps]
     n, means, ses, n_leaves = _fk_ladder(
@@ -319,7 +323,7 @@ def fk_evaluate(
 # ---------------------------------------------------------------------------
 
 
-def khashminskii_certify(V, r, kato0=None, c_v=None, max_subdivisions=64):
+def khashminskii_certify(V, r, kato0=None, c_v=None):
     """Bound on C_exp(V, r) = sup_x E^x exp(int_0^r |V|) from kappa < 1.
 
     kappa < 1 gives 1/(1-kappa); otherwise r is subdivided into k intervals
@@ -335,14 +339,14 @@ def khashminskii_certify(V, r, kato0=None, c_v=None, max_subdivisions=64):
         return KhashminskiiCertificate(
             r, kappa, 1.0 / (1.0 - kappa), 1, kappa, paper
         )
-    for k in range(2, max_subdivisions + 1):
+    for k in range(2, _MAX_SUBDIVISIONS + 1):
         kap_k = pot.kato_integral(V, 0.0, r / k).bound
         if kap_k < 0.5:
             return KhashminskiiCertificate(
                 r, kappa, (1.0 / (1.0 - kap_k)) ** k, k, kap_k, paper
             )
     raise DivergentBoundError(
-        f"could not reach per-interval kappa < 1/2 within {max_subdivisions} splits"
+        f"could not reach per-interval kappa < 1/2 within {_MAX_SUBDIVISIONS} splits"
     )
 
 
@@ -363,10 +367,7 @@ class _NegAbs(pot.Potential):
         return self.base.singularity_distance(pts)
 
 
-def exp_action_moment(
-    V, x, r, n_paths, seed, grid_step=None, eps0=0.05, tol=5e-5,
-    max_depth=16, workers=1
-):
+def exp_action_moment(V, x, r, n_paths, seed, grid_step=None, workers=1):
     """Empirical (mean, stderr) of exp(int_0^r |V(w(s))| ds) from x."""
     est = fk_evaluate(
         _NegAbs(V),
@@ -376,9 +377,6 @@ def exp_action_moment(
         n_paths,
         seed,
         grid_step=grid_step,
-        eps0=eps0,
-        tol=tol,
-        max_depth=max_depth,
         kato0=pot.KatoCertificate(0.0, r, 0.0, "gate_bypass"),
         workers=workers,
         check_bound=False,
@@ -429,11 +427,10 @@ def truncation_ladder(
 # ---------------------------------------------------------------------------
 
 
-def duhamel_residual(
-    V, psi, t, n_time_steps, dx=0.02, halfwidth=10.0, report_halfwidth=5.0
-):
+def duhamel_residual(V, psi, t, n_time_steps):
     """Sup-norm defect of e^{-tH_V} Phi = e^{-tH} Phi - int_0^t e^{-sH} V
-    e^{-(t-s)H_V} Phi ds on a reference grid.
+    e^{-(t-s)H_V} Phi ds on [-5, 5], computed on the grid of step 0.02 over
+    [-10, 10].
 
     e^{-tH_V} is realized by Strang splitting with step t/n_time_steps and the
     time integral by the composite trapezoid on the same grid, so the residual
@@ -445,7 +442,8 @@ def duhamel_residual(
         raise TimeDomainError("duhamel_residual needs a bounded potential")
     if n_time_steps < 1:
         raise TimeDomainError("duhamel_residual needs n_time_steps >= 1")
-    xs = np.arange(-halfwidth, halfwidth + dx / 2.0, dx)
+    dx = 0.02
+    xs = np.arange(-10.0, 10.0 + dx / 2.0, dx)
     n = xs.size
     vvec = np.asarray(V(xs[:, None]), dtype=float)
     phi = np.asarray(psi(xs[:, None]), dtype=float)
@@ -474,5 +472,5 @@ def duhamel_residual(
         acc += weight * integrand
     rhs = p_matrix(t) @ phi - h * acc
 
-    mask = np.abs(xs) <= report_halfwidth
+    mask = np.abs(xs) <= 5.0
     return float(np.max(np.abs(lhs[mask] - rhs[mask])))

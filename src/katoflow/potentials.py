@@ -55,14 +55,6 @@ def smoothed_coulomb_dist(s, u):
     return out
 
 
-def smoothed_coulomb_pair_dist(s, u):
-    """Same for the difference coordinate of two independent legs.
-
-    y_i - y_j has per-coordinate variance 4s, so the value is
-    erf(u / (2 sqrt(2 s))) / u with limit 1/sqrt(2 pi s)."""
-    return smoothed_coulomb_dist(2.0 * s, u)
-
-
 def smoothed_coulomb(space, s, x, center):
     """Heat-smoothed Newtonian potential on R^3 (single values)."""
     if space.kind != "euclidean" or space.dimension != 3:
@@ -72,6 +64,14 @@ def smoothed_coulomb(space, s, x, center):
     x = space.check_point(x)
     center = space.check_point(center)
     return float(smoothed_coulomb_dist(s, np.array([np.linalg.norm(x - center)]))[0])
+
+
+def _coulomb_kato(charge, alpha, t):
+    """Kato integral of charge/|y - c| on R^3: the sup sits at the center,
+    where the smoothed value is charge/sqrt(pi s)."""
+    if alpha >= 1.0:
+        return math.inf
+    return charge * (2.0 / SQRT_PI) * t ** ((1.0 - alpha) / 2.0) / (1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,6 @@ class Potential:
     lower_bound = None  # finite when V is bounded below
     is_zero = False
     lq_split = None  # {"q": q, "lq_norm": a, "linf_norm": b} when declared
-    sign_split = None  # textual decomposition note, when available
     name = "potential"
 
     def __call__(self, pts):
@@ -119,56 +118,6 @@ class Potential:
         """Exact Kato integral when available, else None."""
         return None
 
-    def scaled(self, a):
-        return ScaledPotential(self, a)
-
-
-class ZeroPotential(Potential):
-    is_zero = True
-    sup_norm = 0.0
-    lower_bound = 0.0
-    name = "zero"
-
-    def __init__(self, space):
-        self.space = space
-
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.zeros(pts.shape[0])
-
-    def smoothed_abs(self, s, x):
-        return 0.0
-
-    def sup_candidates(self):
-        return [np.zeros(self.space.embedding_dim)]
-
-    def closed_form_kato(self, alpha, t):
-        return 0.0
-
-
-class ConstantPotential(Potential):
-    name = "constant"
-
-    def __init__(self, space, c):
-        self.space = space
-        self.c = float(c)
-        self.sup_norm = abs(self.c)
-        self.lower_bound = min(self.c, 0.0)
-
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.full(pts.shape[0], self.c)
-
-    def smoothed_abs(self, s, x):
-        return abs(self.c)
-
-    def sup_candidates(self):
-        return [np.zeros(self.space.embedding_dim)]
-
-    def closed_form_kato(self, alpha, t):
-        # conservativeness collapses the inner integral to |c|
-        return abs(self.c) * t ** (1.0 - alpha / 2.0) / (1.0 - alpha / 2.0)
-
 
 class CoulombPotential(Potential):
     """charge/|x - center| on R^3; attractive ( - ) by default."""
@@ -183,11 +132,6 @@ class CoulombPotential(Potential):
         self.singularities = ({"type": "point", "where": self.center},)
         self.lower_bound = None if attractive else 0.0
         self.name = f"coulomb(Z={charge}, {'-' if attractive else '+'})"
-        self.sign_split = (
-            "negative singular Coulomb part + zero bounded part"
-            if attractive
-            else "positive singular Coulomb part + zero bounded part"
-        )
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -212,15 +156,7 @@ class CoulombPotential(Potential):
         return [self.center.copy()]
 
     def closed_form_kato(self, alpha, t):
-        # sup sits at the center, where the smoothed value is Z/sqrt(pi s)
-        if alpha >= 1.0:
-            return math.inf
-        return (
-            self.charge
-            * (2.0 / SQRT_PI)
-            * t ** ((1.0 - alpha) / 2.0)
-            / (1.0 - alpha)
-        )
+        return _coulomb_kato(self.charge, alpha, t)
 
     def lq_split_for(self, q):
         """Declared L^q + L^inf split: singular part on the unit ball."""
@@ -281,39 +217,32 @@ class BoundedPotential(Potential):
         return [np.zeros(self.space.embedding_dim)]
 
     def closed_form_kato(self, alpha, t):
+        # conservativeness bounds the inner integral by sup|V|
         return self.sup_norm * t ** (1.0 - alpha / 2.0) / (1.0 - alpha / 2.0)
 
 
-class ScaledPotential(Potential):
-    def __init__(self, base, a):
-        self.base = base
-        self.a = float(a)
-        self.space = base.space
-        self.singularities = base.singularities
-        self.sup_norm = None if base.sup_norm is None else abs(a) * base.sup_norm
-        if base.lower_bound is not None and a >= 0:
-            self.lower_bound = a * base.lower_bound
-        self.smoothed_abs_exact = base.smoothed_abs_exact
-        self.name = f"{a}*{base.name}"
+class ConstantPotential(BoundedPotential):
+    """V = c: the L^inf bound |c| is the inner integral itself."""
+
+    smoothed_abs_exact = True
+    name = "constant"
+
+    def __init__(self, space, c):
+        c = float(c)
+        super().__init__(space, None, abs(c), min(c, 0.0), self.name)
+        self.c = c
 
     def __call__(self, pts):
-        return self.a * self.base(pts)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return np.full(pts.shape[0], self.c)
 
-    def singularity_distance(self, pts):
-        return self.base.singularity_distance(pts)
 
-    def smoothed_abs(self, s, x):
-        return abs(self.a) * self.base.smoothed_abs(s, x)
+class ZeroPotential(ConstantPotential):
+    is_zero = True
+    name = "zero"
 
-    def coulomb_strength_at(self, x):
-        return abs(self.a) * self.base.coulomb_strength_at(x)
-
-    def sup_candidates(self):
-        return self.base.sup_candidates()
-
-    def closed_form_kato(self, alpha, t):
-        val = self.base.closed_form_kato(alpha, t)
-        return None if val is None else abs(self.a) * val
+    def __init__(self, space):
+        super().__init__(space, 0.0)
 
 
 class MolecularPotential(Potential):
@@ -344,10 +273,6 @@ class MolecularPotential(Potential):
                 sing.append({"type": "coincidence", "pair": (i, j)})
         self.singularities = tuple(sing)
         self.name = f"molecular(m={self.m}, l={self.l})"
-        self.sign_split = (
-            "negative part: nuclear attraction sum; positive singular part: "
-            "electron repulsion sum; bounded part: zero"
-        )
 
     def _blocks(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -390,7 +315,8 @@ class MolecularPotential(Potential):
         for i in range(self.m):
             for j in range(i + 1, self.m):
                 u = np.linalg.norm(blocks[i] - blocks[j])
-                total += float(smoothed_coulomb_pair_dist(s, np.array([u]))[0])
+                # y_i - y_j has per-coordinate variance 4s: the kernel at 2s
+                total += float(smoothed_coulomb_dist(2.0 * s, np.array([u]))[0])
         return total
 
     def coulomb_strength_at(self, x):
@@ -427,7 +353,7 @@ class MolecularPotential(Potential):
         """Sum of per-term closed forms: a certified upper bound of the sup."""
         if alpha >= 1.0:
             return math.inf
-        single = (2.0 / SQRT_PI) * t ** ((1.0 - alpha) / 2.0) / (1.0 - alpha)
+        single = _coulomb_kato(1.0, alpha, t)
         attraction = self.m * float(np.sum(self.Z)) * single
         n_pairs = self.m * (self.m - 1) // 2
         repulsion = n_pairs * single / math.sqrt(2.0)
@@ -522,9 +448,6 @@ def weighted_time_integral(m_fn, alpha, t, c_lead, extra_weight=None):
 # kato_integral and friends
 # ---------------------------------------------------------------------------
 
-_EPS_LADDER = 7  # cap levels 1/eps0 * 2^k, k = 0..6
-
-
 def _blowup_exponent_estimate(V, t):
     """Fitted d log(bound) / d log(1-alpha) near alpha = 1."""
     alphas = np.array([0.90, 0.94, 0.98])
@@ -574,17 +497,7 @@ def _quadrature_bound(V, alpha, t, extra_weight=None):
     return bound, witness, details
 
 
-def kato_integral(
-    V,
-    alpha,
-    t,
-    method="auto",
-    n_samples=10**5,
-    seed=0,
-    eps0=0.05,
-    workers=1,
-    witness=None,
-):
+def kato_integral(V, alpha, t, method="auto", n_samples=10**5, seed=0, workers=1):
     """Evaluate the alpha-Kato integral of |V| up to horizon t."""
     if not 0.0 <= alpha <= 1.0:
         raise TimeDomainError("alpha must lie in [0, 1]")
@@ -612,13 +525,12 @@ def kato_integral(
         return KatoCertificate(alpha, t, bound, "quadrature", wit, 0.0, details)
 
     if method == "monte_carlo":
-        if witness is None:
-            _, wit, _ = _quadrature_bound(V, alpha, t)
-        else:
-            wit = np.asarray(witness, dtype=float)
+        _, wit, _ = _quadrature_bound(V, alpha, t)
         c_lead = V.coulomb_strength_at(wit)
-        # time density prop. to s^{-beta}; a Coulomb-singular witness needs
-        # beta = (alpha+1)/2 to keep the weights bounded (CLT-valid)
+        # time density prop. to s^{-beta}; at a Coulomb-singular witness
+        # beta = (alpha+1)/2 leaves weights prop. to 1/|Z|, Z standard normal
+        # in R^3: unbounded, but E|Z|^-2 = 1 makes their variance finite, so
+        # the raw weights are CLT-valid and any finite cap only cuts mass off
         beta = (alpha + 1.0) / 2.0 if c_lead > 0 else alpha / 2.0
         if beta >= 1.0:
             return KatoCertificate(
@@ -632,49 +544,37 @@ def kato_integral(
             )
         power = 1.0 - beta
         z_norm = t**power / power
-        # cap ladder ends with the raw weights: for the singularity-adapted
-        # density they are intrinsically bounded, and any finite cap cuts off
-        # the small-s mass instead of stabilizing it
-        caps = np.append((1.0 / eps0) * 2.0 ** np.arange(_EPS_LADDER - 1), np.inf)
 
         def chunk(rng, size, _k):
             u = rng.random(size)
             s = t * u ** (1.0 / power)
             ys = V.space.sample_transition_each(s, wit, rng)
-            vals = np.abs(V(ys))
-            base = z_norm * s ** (beta - alpha / 2.0)
-            sums = np.empty(_EPS_LADDER)
-            sqs = np.empty(_EPS_LADDER)
-            for k, cap in enumerate(caps):
-                w = base * np.minimum(vals, cap)
-                sums[k] = w.sum()
-                sqs[k] = (w * w).sum()
-            return size, sums, sqs
+            w = z_norm * s ** (beta - alpha / 2.0) * np.abs(V(ys))
+            return size, w.sum(), (w * w).sum()
 
-        n, means, ses = streams.merge_chunks(streams.map_chunks(
+        n, mean, stderr = streams.merge_chunks(streams.map_chunks(
             chunk, n_samples, seed, streams.TAG_KATO_MC, workers=workers
         ))
-        k_star, _settled = streams.settle_level(means, ses)
         return KatoCertificate(
             alpha,
             t,
-            float(means[k_star]),
+            float(mean),
             "monte_carlo",
             wit,
-            float(ses[k_star]),
-            {"epsilon": float(1.0 / caps[k_star]), "n_samples": n,
-             "time_density_exponent": beta},
+            float(stderr),
+            {"n_samples": n, "time_density_exponent": beta},
         )
 
     raise TimeDomainError(f"unknown method {method!r}")
 
 
-def classify_kato(V, t_grid, alpha, method="auto", **kwargs):
-    """Decide V in K^alpha by the t -> 0 limit along a decreasing grid."""
+def classify_kato(V, t_grid, alpha):
+    """Decide V in K^alpha by the t -> 0 limit along a decreasing grid of
+    deterministic certificates."""
     t_grid = list(t_grid)
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise TimeDomainError("t_grid must decrease strictly")
-    certs = [kato_integral(V, alpha, t, method=method, **kwargs) for t in t_grid]
+    certs = [kato_integral(V, alpha, t) for t in t_grid]
     bounds = [c.bound for c in certs]
     if any(math.isinf(b) for b in bounds):
         details = {}
@@ -684,10 +584,8 @@ def classify_kato(V, t_grid, alpha, method="auto", **kwargs):
                     "blowup_exponent_estimate"
                 ]
         return KatoClassification(alpha, False, "divergent", math.nan, bounds, details)
-    # monotone non-increasing along the decreasing grid, within MC noise
-    tol = 3.0 * max(c.stderr for c in certs)
-    drops = [a - b for a, b in zip(bounds, bounds[1:])]
-    if any(d < -tol for d in drops):
+    # monotone non-increasing along the decreasing grid
+    if any(b > a for a, b in zip(bounds, bounds[1:])):
         return KatoClassification(
             alpha, None, "inconclusive", math.nan, bounds, {"reason": "non-monotone"}
         )
@@ -723,7 +621,7 @@ def extend_small_time(cert, target_t):
     )
 
 
-def lq_kato_bound(V, q, alpha, t, lq_split=None):
+def lq_kato_bound(V, q, alpha, t):
     """Kato bound from a declared L^q + L^inf decomposition on R^N.
 
     Uses the exact on-diagonal Euclidean kernel sup (4 pi s)^{-N/(2q)} in the
@@ -738,7 +636,7 @@ def lq_kato_bound(V, q, alpha, t, lq_split=None):
         raise HypothesisViolationError(
             f"need q > N/(2-alpha) = {n_dim / (2.0 - alpha):g}; got q = {q:g}"
         )
-    split = lq_split or V.lq_split
+    split = V.lq_split
     if split is None and hasattr(V, "lq_split_for"):
         split = V.lq_split_for(q)
     if split is None:

@@ -9,6 +9,7 @@ i.e. per-coordinate transition variance 2t, and the sphere kernel is the
 spectral series with eigenvalues l(l+1)/radius^2.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +34,6 @@ class StateSpace:
     dimension: int
     ricci_lower_bound: float  # the curvature parameter K
     radius: float = 1.0
-    heat_kernel_truncation: int = 512
 
     # -- construction ------------------------------------------------------
 
@@ -95,20 +95,18 @@ class StateSpace:
         return float(self.sphere_kernel_theta(t, theta))
 
     def sphere_series_length(self, t):
-        """Smallest series length L with certified tail below 1e-13."""
+        """Smallest series length L with certified tail below 1e-13; at most
+        188 down to the certified floor t/r^2 = 1e-3."""
         t_eff = t / (self.radius * self.radius)
         if t_eff < _SPHERE_MIN_TIME:
             raise TooSmallTimeError(
                 f"sphere kernel needs t/radius^2 >= {_SPHERE_MIN_TIME}; "
                 f"got {t_eff:g}"
             )
-        for ell in range(self.heat_kernel_truncation + 1):
+        for ell in itertools.count():
             tail = (2 * ell + 3) * math.exp(-(ell + 1) * (ell + 2) * t_eff)
             if tail < _SPHERE_TAIL_TOL:
                 return ell
-        raise TooSmallTimeError(
-            f"series cap {self.heat_kernel_truncation} too small for t={t:g}"
-        )
 
     def sphere_kernel_theta(self, t, theta):
         """Spectral kernel as a function of the angle; vectorized in theta."""
@@ -259,16 +257,10 @@ def euclidean(d):
     return StateSpace("euclidean", int(d), 0.0)
 
 
-def sphere2(radius=1.0, heat_kernel_truncation=512):
+def sphere2(radius=1.0):
     """Round 2-sphere of the given radius; K = 1/radius^2."""
     radius = float(radius)
-    return StateSpace(
-        "sphere2",
-        2,
-        1.0 / (radius * radius),
-        radius,
-        int(heat_kernel_truncation),
-    )
+    return StateSpace("sphere2", 2, 1.0 / (radius * radius), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +400,12 @@ def ball_volume(space, geodesic_radius):
     return 2.0 * math.pi * r * r * (1.0 - math.cos(ang))
 
 
-def li_yau_constant_scan(space, t_grid, dist_grid, c_grid=None):
-    """Smallest C on a grid with p(t,x,y) <= C/m(B(x,sqrt t)) * exp(-d^2/(Ct)).
+def li_yau_constant_scan(space, t_grid, dist_grid):
+    """Smallest C of a geometric grid on [1, 1e3] with
+    p(t,x,y) <= C/m(B(x,sqrt t)) * exp(-d^2/(Ct)).
 
     Only a sanity inequality on model spaces, never a proof.
     """
-    if c_grid is None:
-        c_grid = np.geomspace(1.0, 1e3, 200)
     if space.kind == "euclidean":
         x = np.zeros(space.dimension)
 
@@ -429,7 +420,7 @@ def li_yau_constant_scan(space, t_grid, dist_grid, c_grid=None):
         def kern(t, dist):
             return float(space.sphere_kernel_theta(t, dist / space.radius))
 
-    for c in c_grid:
+    for c in np.geomspace(1.0, 1e3, 200):
         ok = True
         for t in t_grid:
             vol = ball_volume(space, math.sqrt(t))

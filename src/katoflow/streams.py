@@ -6,8 +6,9 @@ are bit-identical regardless of how many workers process the chunks.
 
 Every estimator in the package is a ladder of levels (cap levels, truncation
 levels, or a single level): each chunk returns ``(n, sums, sumsqs)`` over the
-levels, ``merge_chunks`` reduces them in chunk order, and ``settle_level``
-applies the epsilon-halving rule where the levels are successive caps.
+levels and ``merge_chunks`` reduces them in chunk order.  ``settle_level``
+applies the epsilon-halving rule to the successive caps of ``fk_evaluate``,
+the one estimator that picks a cap level.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -54,7 +55,7 @@ def chunk_sizes(n_total, chunk=DEFAULT_CHUNK):
     return out
 
 
-def map_chunks(fn, n_total, seed, tag, chunk=DEFAULT_CHUNK, workers=1):
+def map_chunks(fn, n_total, seed, tag, workers=1):
     """Run ``fn(rng, size, chunk_index)`` over every chunk, in chunk order.
 
     Returns the list of per-chunk results ordered by chunk index, so any
@@ -67,7 +68,7 @@ def map_chunks(fn, n_total, seed, tag, chunk=DEFAULT_CHUNK, workers=1):
         k, size = job
         return fn(substream(seed, tag, k), size, k)
 
-    return map_ordered(run, enumerate(chunk_sizes(n_total, chunk)), workers)
+    return map_ordered(run, enumerate(chunk_sizes(n_total)), workers)
 
 
 def map_ordered(fn, items, workers=1):

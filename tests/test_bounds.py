@@ -274,7 +274,8 @@ def test_calibration_dominates_and_extrapolates():
 def test_kato_scaling_property(alpha, t):
     # closed form obeys kato(a V) = |a| kato(V) and the C-constant weight
     base = COULOMB.closed_form_kato(alpha, t)
-    assert COULOMB.scaled(-2.0).closed_form_kato(alpha, t) == pytest.approx(
+    minus_two = potentials.CoulombPotential(E3, charge=2.0, attractive=True)
+    assert minus_two.closed_form_kato(alpha, t) == pytest.approx(
         2.0 * base, rel=1e-12
     )
     assert bounds.C_constant(COULOMB, 0.0, alpha, t) == pytest.approx(

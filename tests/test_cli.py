@@ -189,6 +189,7 @@ def test_all_suites_smoke(tmp_path):
     ("kato,duhamel", {"duhamel": {"step_ladder": "x"}}),
     ("kato,no-such-suite", {}),
     ("kato,duhamel", {"duhamel": {"step_ladder": [0]}}),  # raised while computing
+    ("kato,duhamel", {"seed": 5}),  # run options are flags, not config keys
 ])
 def test_all_checks_every_suite_before_running(tmp_path, capsys, suites, config):
     cfg = tmp_path / "cfg.json"

@@ -139,8 +139,9 @@ def test_equivalence_ladder_holds():
     x = np.array([-1.0])
     y = np.array([1.0])
     fam = functions.default_coupling_family(x, y)
+    ends = coupling.simulate_reflection_endpoints(E1, x, y, 1.0, 0.125, 60_000, seed=31)
     report, rows = coupling.check_equivalence_ladder(
-        E1, x, y, 1.0, [0.25, 0.5, 1.0], fam, 60_000, seed=31, grid_step=0.125
+        E1, x, y, 1.0, [0.25, 0.5, 1.0], fam, ends
     )
     assert report.verdict == "holds"
     # alpha = 1 reduces (iii) to (ii)
@@ -169,8 +170,7 @@ def test_constant_function_trivial():
     x = np.array([-0.5])
     y = np.array([0.5])
     fam = {"constant": functions.Constant(1.0)}
-    report, rows = coupling.check_equivalence_ladder(
-        E1, x, y, 0.5, [0.5], fam, 20_000, seed=51, grid_step=0.125
-    )
+    ends = coupling.simulate_reflection_endpoints(E1, x, y, 0.5, 0.125, 20_000, seed=51)
+    report, rows = coupling.check_equivalence_ladder(E1, x, y, 0.5, [0.5], fam, ends)
     assert all(r["lhs"] == 0.0 for r in rows)
     assert report.verdict == "holds"

@@ -142,6 +142,21 @@ def test_kato_monte_carlo_agreement(alpha):
     assert abs(cert.bound - exact) <= 3.0 * cert.stderr
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 0.9])  # kato suite grid
+def test_kato_monte_carlo_is_unbiased(alpha):
+    """Over 300 seeds the mean z-score of the estimate sits within 3 of its own
+    stderr 1/sqrt(300) of zero; capping the weights biases it low."""
+    t = 0.25
+    exact = coulomb_kato_exact(alpha, t)
+    z = []
+    for seed in range(300):
+        cert = potentials.kato_integral(
+            COULOMB, alpha, t, method="monte_carlo", n_samples=20_000, seed=seed
+        )
+        z.append((cert.bound - exact) / cert.stderr)
+    assert abs(np.mean(z)) <= 3.0 / math.sqrt(300)
+
+
 def test_kato_monte_carlo_constant_agreement():
     v = potentials.ConstantPotential(E3, 2.0)
     for alpha in (0.0, 0.6):
@@ -175,7 +190,7 @@ def test_kato_certificate_monotone_in_t():
 
 
 def test_kato_linearity_and_nesting():
-    scaled = COULOMB.scaled(2.5)
+    scaled = potentials.CoulombPotential(E3, charge=2.5, attractive=False)
     for alpha in [0.0, 0.4, 0.8]:
         b1 = potentials.kato_integral(COULOMB, alpha, 0.7, method="quadrature").bound
         b2 = potentials.kato_integral(scaled, alpha, 0.7, method="quadrature").bound
