@@ -16,7 +16,7 @@ from scipy import integrate, optimize
 from . import feynman_kac as fk
 from . import streams
 from . import potentials as pot
-from .errors import TimeDomainError
+from .errors import DivergentBoundError, TimeDomainError
 from .reports import HOLDS, BoundReport, one_sided_verdict
 
 _QUAD_TOL = 1e-9  # slack for deterministic quadrature comparisons
@@ -115,12 +115,13 @@ def pair_grid_euclidean(space, anchors=None, scale=1.0, k_max=12):
     return pairs
 
 
-def pair_grid_sphere(space, k_max=10):
-    """Meridian pairs straddling polar anchors pi/4, pi/2, 3pi/4."""
+def pair_grid_sphere(space):
+    """Meridian pairs straddling polar anchors pi/4, pi/2, 3pi/4, at the
+    half-separations (pi/4) 2^-k, k = 0..10."""
     r = space.radius
     pairs = []
     for theta0 in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-        for k in range(k_max + 1):
+        for k in range(11):
             half = (math.pi / 4) * 2.0**-k
             th1, th2 = theta0 - half, theta0 + half
             if th1 < 0 or th2 > math.pi:
@@ -136,11 +137,11 @@ def pair_grid_sphere(space, k_max=10):
 # ---------------------------------------------------------------------------
 
 
-def _quotient_scan(space, t, f, alpha, pairs):
-    """(sup |P_t f(x) - P_t f(y)| / (d(x,y)^alpha ||f||), witness) over pairs.
+def _semigroup_values(space, t, f, pairs):
+    """p -> (P_t f(p), 0.0) at the pair points, by exact quadrature.
 
-    P_t f is evaluated once per distinct point key by exact quadrature:
-    the coordinate on euclidean(1), the polar angle of a zonal f on S^2."""
+    P_t f is evaluated once per distinct point key: the coordinate on
+    euclidean(1), the polar angle of a zonal f on S^2."""
     if space.kind == "euclidean":
         if space.dimension != 1:
             raise TimeDomainError("quadrature quotients support euclidean(1)")
@@ -151,9 +152,6 @@ def _quotient_scan(space, t, f, alpha, pairs):
         def evaluate(keys):
             return heat_semigroup_1d(t, f, keys)
 
-        def distance(x, y):
-            return abs(float(y[0] - x[0]))
-
     else:
 
         def key(p):
@@ -162,38 +160,55 @@ def _quotient_scan(space, t, f, alpha, pairs):
         def evaluate(keys):
             return sphere_semigroup_zonal(space, t, f, keys)
 
-        distance = space.distance
     keys = np.array(sorted({key(p) for pair in pairs for p in pair}))
     table = dict(zip(keys.tolist(), evaluate(keys).tolist()))
-    best, witness = 0.0, None
+    return lambda p: (table[key(p)], 0.0)
+
+
+def _pair_rows(space, pairs, values):
+    """(x, y, d, |value difference|, stderr) per pair with d = d(x, y) > 0;
+    ``values(p)`` is the (value, stderr) at a point."""
     for x, y in pairs:
-        dist = distance(x, y)
+        dist = float(space.distance_batch(np.asarray(x, float), np.asarray(y, float)))
         if dist == 0:
             continue
-        q = abs(table[key(x)] - table[key(y)]) / (dist**alpha * f.sup_norm)
+        (vx, sx), (vy, sy) = values(x), values(y)
+        yield x, y, dist, abs(vx - vy), math.hypot(sx, sy)
+
+
+def _worst_pair(rows, alpha, norm):
+    """(sup |difference| / (d^alpha norm), its stderr on that scale, its pair)
+    over ``_pair_rows``; the pair is None when every quotient is 0."""
+    best, best_se, witness = 0.0, 0.0, None
+    for x, y, dist, diff, se in rows:
+        scale = dist**alpha * norm
+        q = diff / scale
         if q > best:
-            best, witness = q, (x, y)
-    return best, witness
+            best, best_se, witness = q, se / scale, (x, y)
+    return best, best_se, witness
 
 
-def lipschitz_quotient(space, t, f, pairs=None, k_max=12):
+def lipschitz_quotient(space, t, f, pairs=None):
     """Measured sup |P_t f(x)-P_t f(y)| / (d(x,y) ||f||) against F_K(t)."""
-    report = holder_quotient(space, t, 1.0, f, pairs=pairs, k_max=k_max)
+    report = holder_quotient(space, t, 1.0, f, pairs=pairs)
     report.bound_name = "lipschitz_smoothing"
     return report
 
 
-def holder_quotient(space, t, alpha, f, pairs=None, k_max=12):
+def holder_quotient(space, t, alpha, f, pairs=None):
     """Measured sup quotient with d^alpha against 2^{1-alpha} F_K(t)^alpha."""
     if not 0.0 < alpha <= 1.0:
         raise TimeDomainError("alpha must lie in (0, 1]")
     if pairs is None:
         pairs = (
-            pair_grid_euclidean(space, scale=max(1.0, 4 * math.sqrt(t)), k_max=k_max)
+            pair_grid_euclidean(space, scale=max(1.0, 4 * math.sqrt(t)))
             if space.kind == "euclidean"
             else pair_grid_sphere(space)
         )
-    best, witness = _quotient_scan(space, t, f, alpha, pairs)
+    values = _semigroup_values(space, t, f, pairs)
+    best, _se, witness = _worst_pair(
+        _pair_rows(space, pairs, values), alpha, f.sup_norm
+    )
     cap = holder_cap(space.ricci_lower_bound, t, alpha)
     return BoundReport(
         bound_name="holder_smoothing",
@@ -279,18 +294,10 @@ def corollary_B_constant(vj_terms, vij_terms, K, alpha, t):
     def kappa_total(r):
         return sum(pot.kato_integral(v, 0.0, r).bound for v in terms)
 
-    kap = kappa_total(t)
-    if kap < 1.0:
-        c_exp = 1.0 / (1.0 - kap)
-    else:
-        c_exp = None
-        for k in range(2, 256):
-            kk = kappa_total(t / k)
-            if kk < 0.5:
-                c_exp = (1.0 / (1.0 - kk)) ** k
-                break
-        if c_exp is None:
-            return math.inf
+    try:
+        c_exp, _k, _kappa_k = fk.khashminskii_bound(kappa_total, t)
+    except DivergentBoundError:
+        return math.inf
     return 2.0 ** (2.0 - alpha) * c_exp * c_sum
 
 
@@ -299,55 +306,37 @@ def corollary_B_constant(vj_terms, vij_terms, K, alpha, t):
 # ---------------------------------------------------------------------------
 
 
-def _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, grid_step, workers, kato0):
-    """Feynman-Kac estimates of e^{-tH_V}Phi keyed by each distinct pair point.
+def _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, workers, kato0):
+    """p -> Feynman-Kac (value, stderr) of e^{-tH_V}Phi at each pair point.
 
-    The i-th point in sorted order draws from substream (seed, i); every
-    point shares the alpha=0 certificate ``kato0`` that admits V.  The
+    The i-th distinct point in sorted order draws from substream (seed, i);
+    every point shares the alpha=0 certificate ``kato0`` that admits V.  The
     ``workers`` split the points, so each estimate runs its chunks in turn
     and the values do not depend on the worker count."""
     points = sorted({tuple(np.asarray(p, dtype=float)) for pair in pairs for p in pair})
 
     def estimate(item):
         i, key = item
-        return fk.fk_evaluate(
+        est = fk.fk_evaluate(
             V, phi, np.array(key), t, n_paths, seed=streams.combine_seed(seed, i),
-            grid_step=grid_step, kato0=kato0, workers=1, check_bound=False,
+            kato0=kato0, workers=1, check_bound=False,
         )
+        return est.value, est.stderr
 
-    return dict(zip(points, streams.map_ordered(estimate, enumerate(points), workers)))
-
-
-def _pair_differences(space, pairs, estimates):
-    """(x, y, d, |value difference|, stderr) per pair with d(x, y) > 0."""
-    for x, y in pairs:
-        xa, ya = np.asarray(x, float), np.asarray(y, float)
-        dist = float(space.distance_batch(xa, ya))
-        if dist == 0:
-            continue
-        ex, ey = estimates[tuple(xa)], estimates[tuple(ya)]
-        yield x, y, dist, abs(ex.value - ey.value), math.hypot(ex.stderr, ey.stderr)
+    table = dict(zip(points, streams.map_ordered(estimate, enumerate(points), workers)))
+    return lambda p: table[tuple(np.asarray(p, dtype=float))]
 
 
-def verify_main_theorem(
-    V,
-    phi,
-    K,
-    alpha,
-    t,
-    pairs=None,
-    n_paths=20_000,
-    seed=0,
-    grid_step=None,
-    workers=1,
-):
-    """Check |e^{-tH_V}Phi(x) - e^{-tH_V}Phi(y)| <= (2^{1-a}F_K^a + A) ||Phi|| d^a.
+def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, workers=1):
+    """Check |e^{-tH_V}Phi(x) - e^{-tH_V}Phi(y)| <= (2^{1-a}F_K^a + A) ||Phi|| d^a
+    with K the Ricci lower bound of V's space.
 
     V = 0 collapses to the heat-semigroup Hoelder check evaluated by exact
-    quadrature (so it agrees with holder_quotient to roundoff); singular V
-    goes through the Feynman-Kac estimator with independent substreams per
-    evaluation point."""
+    quadrature (so it is holder_quotient's report); singular V goes through
+    the Feynman-Kac estimator with independent substreams per evaluation
+    point."""
     space = V.space
+    K = space.ricci_lower_bound
     if V.is_zero:
         report = holder_quotient(space, t, alpha, phi, pairs=pairs)
         report.bound_name = "main_theorem_v0_reduction"
@@ -360,17 +349,11 @@ def verify_main_theorem(
     khash = fk.khashminskii_certify(V, t, kato0=kato0)
     a_val = A_constant(V, K, alpha, t, khash.bound_on_C_exp)
     cap = holder_cap(K, t, alpha) + a_val
-    estimates = _fk_at_pair_points(
-        V, phi, t, pairs, n_paths, seed, grid_step, workers, kato0
-    )
+    values = _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, workers, kato0)
+    pair_rows = list(_pair_rows(space, pairs, values))
     rows = []
-    worst_q, worst_orig = 0.0, None
-    all_hold = True
-    for x, y, dist, lhs, se in _pair_differences(space, pairs, estimates):
+    for x, y, dist, lhs, se in pair_rows:
         rhs = cap * phi.sup_norm * dist**alpha
-        verdict = one_sided_verdict(lhs, rhs, se)
-        all_hold &= verdict == HOLDS
-        q = lhs / (phi.sup_norm * dist**alpha)
         rows.append(
             {
                 "x": list(np.asarray(x, float)),
@@ -379,11 +362,10 @@ def verify_main_theorem(
                 "lhs": lhs,
                 "rhs": rhs,
                 "stderr": se,
-                "verdict": verdict,
+                "verdict": one_sided_verdict(lhs, rhs, se),
             }
         )
-        if q > worst_q:
-            worst_q, worst_orig = q, (x, y)
+    worst_q, _se, witness = _worst_pair(pair_rows, alpha, phi.sup_norm)
     return BoundReport(
         bound_name="main_theorem_holder",
         parameters={
@@ -397,31 +379,27 @@ def verify_main_theorem(
         theoretical_value=cap,
         empirical_value=worst_q,
         stderr=max((r["stderr"] for r in rows), default=0.0),
-        verdict=HOLDS if all_hold else "violated",
-        witness=worst_orig,
+        verdict=HOLDS if all(r["verdict"] == HOLDS for r in rows) else "violated",
+        witness=witness,
         details={"rows": rows},
     )
 
 
-def verify_eigenfunction_corollary(psi, lam, V, K, alpha, t, pairs):
-    """|Psi(x)-Psi(y)| <= e^{t lam} (2^{1-a}F_K^a + A) ||Psi|| d^a pointwise."""
+def verify_eigenfunction_corollary(psi, lam, V, alpha, t, pairs):
+    """|Psi(x)-Psi(y)| <= e^{t lam} (2^{1-a}F_K^a + A) ||Psi|| d^a pointwise,
+    with K the Ricci lower bound of V's space."""
+    K = V.space.ricci_lower_bound
     khash = fk.khashminskii_certify(V, t)
     cap = (
         math.exp(t * lam)
         * theorem_cap(V, K, alpha, t, khash.bound_on_C_exp)
         * psi.sup_norm
     )
-    worst, witness = 0.0, None
-    for x, y in pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dist = float(np.linalg.norm(x - y))
-        if dist == 0:
-            continue
-        lhs = abs(float(psi(x[None, :])[0]) - float(psi(y[None, :])[0]))
-        q = lhs / dist**alpha
-        if q > worst:
-            worst, witness = q, (x, y)
+
+    def values(p):
+        return float(psi(np.asarray(p, dtype=float)[None, :])[0]), 0.0
+
+    worst, _se, witness = _worst_pair(_pair_rows(V.space, pairs, values), alpha, 1.0)
     return BoundReport(
         bound_name="eigenfunction_holder",
         parameters={"lambda": lam, "K": K, "alpha": alpha, "t": t},
@@ -494,12 +472,10 @@ def fit_blowup_exponent(alphas, values):
 
 def measured_holder_quotient_mc(V, phi, alpha, t, pairs, n_paths, seed, workers=1):
     """(max quotient, stderr at the witness) of e^{-tH_V}Phi over a pair grid."""
-    est = _fk_at_pair_points(
-        V, phi, t, pairs, n_paths, seed, None, workers, pot.kato_integral(V, 0.0, t)
+    values = _fk_at_pair_points(
+        V, phi, t, pairs, n_paths, seed, workers, pot.kato_integral(V, 0.0, t)
     )
-    best, best_se = 0.0, 0.0
-    for _x, _y, dist, diff, se in _pair_differences(V.space, pairs, est):
-        q = diff / (phi.sup_norm * dist**alpha)
-        if q > best:
-            best, best_se = q, se / (phi.sup_norm * dist**alpha)
+    best, best_se, _pair = _worst_pair(
+        _pair_rows(V.space, pairs, values), alpha, phi.sup_norm
+    )
     return best, best_se

@@ -148,7 +148,7 @@ def reflection_survival_exact(separation, t):
 # ---------------------------------------------------------------------------
 
 
-def check_maximality(taus, d, separation, t_grid, strategy=REFLECTION):
+def check_maximality(taus, d, separation, t_grid):
     """Compare empirical survival P(tau > t) with both delta conventions.
 
     Always asserts the one-sided coupling inequality
@@ -177,7 +177,7 @@ def check_maximality(taus, d, separation, t_grid, strategy=REFLECTION):
             HOLDS if p_hat + 3.0 * se >= 0.5 * tv_supb else "violated"
         )
         row = {
-            "strategy": strategy,
+            "strategy": REFLECTION,
             "d": d,
             "separation": separation,
             "t": t,
@@ -194,7 +194,7 @@ def check_maximality(taus, d, separation, t_grid, strategy=REFLECTION):
             worst = (margin, row)
     report = BoundReport(
         bound_name="coupling_lower_bound_half_tv",
-        parameters={"strategy": strategy, "d": d, "separation": separation},
+        parameters={"strategy": REFLECTION, "d": d, "separation": separation},
         theoretical_value=worst[1]["p_tau_gt_t"] + 3.0 * worst[1]["stderr"],
         empirical_value=0.5 * worst[1]["tv_supB"],
         stderr=worst[1]["stderr"],
@@ -223,25 +223,9 @@ def check_equivalence_ladder(space, x, y, t, alpha_grid, f_family, endpoints):
         diff = f(xs) - f(ys)
         est = abs(float(np.mean(diff)))
         se_d = float(np.std(diff)) / math.sqrt(n)
-        bound_ii = f_big * dist * f.sup_norm  # == 2 * p_hat * sup_norm
-        slack_ii = 3.0 * (se_d + 2.0 * se_p * f.sup_norm)
-        v_ii = one_sided_verdict(est, bound_ii, 0.0, slack_ii)
-        rows.append(
-            {
-                "f": name,
-                "alpha": 1.0,
-                "statement": "ii",
-                "lhs": est,
-                "bound": bound_ii,
-                "stderr": se_d,
-                "verdict": v_ii,
-            }
-        )
-        all_hold &= v_ii == HOLDS
-        for alpha in alpha_grid:
-            bound_iii = (
-                f_big**alpha * 2.0 ** (1.0 - alpha) * dist**alpha * f.sup_norm
-            )
+        # (ii) is (iii) at alpha = 1: the bound F d ||f|| = 2 p_hat ||f||
+        for statement, alpha in [("ii", 1.0)] + [("iii", a) for a in alpha_grid]:
+            bound = f_big**alpha * 2.0 ** (1.0 - alpha) * dist**alpha * f.sup_norm
             p_eff = max(p_hat, 1e-9)
             dbound = (
                 2.0 ** (1.0 - alpha)
@@ -252,14 +236,14 @@ def check_equivalence_ladder(space, x, y, t, alpha_grid, f_family, endpoints):
                 * p_eff ** (alpha - 1.0)
             )
             slack = 3.0 * (se_d + dbound * se_p)
-            v = one_sided_verdict(est, bound_iii, 0.0, slack)
+            v = one_sided_verdict(est, bound, 0.0, slack)
             rows.append(
                 {
                     "f": name,
                     "alpha": float(alpha),
-                    "statement": "iii",
+                    "statement": statement,
                     "lhs": est,
-                    "bound": bound_iii,
+                    "bound": bound,
                     "stderr": se_d,
                     "verdict": v,
                 }

@@ -28,8 +28,10 @@ from .errors import (
 
 _EPS0 = 0.05  # first cap level 1/_EPS0
 _CAP_LEVELS = 7
-_MAX_SUBDIVISIONS = 64  # Khashminskii splits of [0, r] tried before giving up
+_MAX_SUBDIVISIONS = 255  # Khashminskii splits of [0, r] tried before giving up
 _NEAR_FACTOR = 4.0  # refine when dist(endpoint, singularity) < 4*sqrt(2*delta)
+_TOL = 5e-5  # refine an interval while its midpoint moves the trapezoid by more
+_MAX_DEPTH = 16  # bridge refinement levels below the path grid
 
 
 @dataclass
@@ -69,7 +71,6 @@ class KhashminskiiCertificate:
     subdivisions: int = 1
     kappa_per_interval: float = None
     paper_style_bound: float = None  # 2*exp(C_V r) for user-supplied C_V
-    details: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -195,8 +196,7 @@ def _actions_from_leaves(leaves, size, clips):
     return actions
 
 
-def _fk_ladder(V, psi, x, t, n_paths, seed, n_steps, tol, max_depth, clips,
-               workers):
+def _fk_ladder(V, psi, x, t, n_paths, seed, n_steps, clips, workers):
     """(n, means, stderrs, n_leaves) of exp(-action) * psi(end) per clip level.
 
     Every ``(lo, hi)`` in ``clips`` clips V on the same paths and leaves
@@ -205,7 +205,7 @@ def _fk_ladder(V, psi, x, t, n_paths, seed, n_steps, tol, max_depth, clips,
 
     def chunk(rng, size, _k):
         ends, leaves = _chunk_leaves(
-            space, V, x, t, size, rng, n_steps, tol, max_depth
+            space, V, x, t, size, rng, n_steps, _TOL, _MAX_DEPTH
         )
         pvals = np.asarray(psi(ends), dtype=float)
         sums = np.empty(len(clips))
@@ -259,8 +259,6 @@ def fk_evaluate(
     n_paths,
     seed,
     grid_step=None,
-    tol=5e-5,
-    max_depth=16,
     kato0=None,
     workers=1,
     check_bound=True,
@@ -278,7 +276,7 @@ def fk_evaluate(
     lo_bound = V.lower_bound  # finite => negative clipping is inert
     clips = [(-cap if lo_bound is None else max(-cap, lo_bound), cap) for cap in caps]
     n, means, ses, n_leaves = _fk_ladder(
-        V, psi, x, t, n_paths, seed, n_steps, tol, max_depth, clips, workers
+        V, psi, x, t, n_paths, seed, n_steps, clips, workers
     )
     k_star, settled = streams.settle_level(means, ses)
     value = float(means[k_star])
@@ -309,7 +307,7 @@ def fk_evaluate(
         {
             "grid_step": grid_step,
             "epsilon": float(1.0 / caps[k_star]),
-            "refinement": {"tol": tol, "max_depth": max_depth,
+            "refinement": {"tol": _TOL, "max_depth": _MAX_DEPTH,
                            "near_factor": _NEAR_FACTOR},
             "n_leaves": int(n_leaves),
         },
@@ -323,31 +321,40 @@ def fk_evaluate(
 # ---------------------------------------------------------------------------
 
 
-def khashminskii_certify(V, r, kato0=None, c_v=None):
-    """Bound on C_exp(V, r) = sup_x E^x exp(int_0^r |V|) from kappa < 1.
+def khashminskii_bound(kappa_at, r):
+    """(bound on C_exp, subdivisions k, per-interval kappa) on [0, r], where
+    ``kappa_at(s)`` is the alpha=0 Kato bound at horizon s.
 
-    kappa < 1 gives 1/(1-kappa); otherwise r is subdivided into k intervals
-    with per-interval kappa < 1/2 and the bound is (1/(1-kappa_k))^k via the
-    Markov property."""
+    kappa = kappa_at(r) < 1 gives 1/(1-kappa).  Otherwise [0, r] is split into
+    the fewest k <= _MAX_SUBDIVISIONS intervals with kappa_k = kappa_at(r/k)
+    < 1/2, and the Markov property gives (1/(1-kappa_k))^k."""
+    kappa = kappa_at(r)
+    if kappa < 1.0:
+        return 1.0 / (1.0 - kappa), 1, kappa
+    for k in range(2, _MAX_SUBDIVISIONS + 1):
+        kap_k = kappa_at(r / k)
+        if kap_k < 0.5:
+            return (1.0 / (1.0 - kap_k)) ** k, k, kap_k
+    raise DivergentBoundError(
+        f"could not reach per-interval kappa < 1/2 within {_MAX_SUBDIVISIONS} splits"
+    )
+
+
+def khashminskii_certify(V, r, kato0=None, c_v=None):
+    """Bound on C_exp(V, r) = sup_x E^x exp(int_0^r |V|) by khashminskii_bound
+    on the alpha=0 Kato certificates of V."""
     if kato0 is None:
         kato0 = pot.kato_integral(V, 0.0, r)
     kappa = kato0.bound + 0.0
     if math.isinf(kappa):
         raise DivergentBoundError("alpha=0 Kato bound is infinite; no certificate")
+
+    def kappa_at(s):
+        return kappa if s == r else pot.kato_integral(V, 0.0, s).bound
+
+    bound, k, kap_k = khashminskii_bound(kappa_at, r)
     paper = None if c_v is None else 2.0 * math.exp(c_v * r)
-    if kappa < 1.0:
-        return KhashminskiiCertificate(
-            r, kappa, 1.0 / (1.0 - kappa), 1, kappa, paper
-        )
-    for k in range(2, _MAX_SUBDIVISIONS + 1):
-        kap_k = pot.kato_integral(V, 0.0, r / k).bound
-        if kap_k < 0.5:
-            return KhashminskiiCertificate(
-                r, kappa, (1.0 / (1.0 - kap_k)) ** k, k, kap_k, paper
-            )
-    raise DivergentBoundError(
-        f"could not reach per-interval kappa < 1/2 within {_MAX_SUBDIVISIONS} splits"
-    )
+    return KhashminskiiCertificate(r, kappa, bound, k, kap_k, paper)
 
 
 class _NegAbs(pot.Potential):
@@ -389,10 +396,7 @@ def exp_action_moment(V, x, r, n_paths, seed, grid_step=None, workers=1):
 # ---------------------------------------------------------------------------
 
 
-def truncation_ladder(
-    V, psi, x, t, levels, n_paths, seed, grid_step=None, tol=5e-5,
-    max_depth=16, workers=1
-):
+def truncation_ladder(V, psi, x, t, levels, n_paths, seed, grid_step=None, workers=1):
     """fk_evaluate with V clipped to [-n, m] per level, common random numbers.
 
     With shared paths the monotonicity of the capped action is path-wise
@@ -401,7 +405,7 @@ def truncation_ladder(
     n_steps = _grid_steps(t, grid_step)
     levels = [(float(n), float(m)) for n, m in levels]
     _n, means, ses, _leaves = _fk_ladder(
-        V, psi, x, t, n_paths, seed, n_steps, tol, max_depth,
+        V, psi, x, t, n_paths, seed, n_steps,
         [(-n_low, m_high) for n_low, m_high in levels], workers
     )
     means, ses = means.tolist(), ses.tolist()

@@ -380,24 +380,7 @@ class KatoCertificate:
         return math.isfinite(self.bound)
 
     def to_dict(self):
-        return {
-            "record": "kato_certificate",
-            "alpha": self.alpha,
-            "t": self.t,
-            "bound": self.bound if math.isfinite(self.bound) else "inf",
-            "method": self.method,
-            "sup_witness": None
-            if self.sup_witness is None
-            else list(np.asarray(self.sup_witness, dtype=float)),
-            "stderr": self.stderr,
-            "details": {
-                k: (v if not hasattr(v, "tolist") else v.tolist())
-                for k, v in self.details.items()
-            },
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return {"record": "kato_certificate", **vars(self)}
 
 
 @dataclass
@@ -572,6 +555,8 @@ def classify_kato(V, t_grid, alpha):
     """Decide V in K^alpha by the t -> 0 limit along a decreasing grid of
     deterministic certificates."""
     t_grid = list(t_grid)
+    if len(t_grid) < 2:
+        raise TimeDomainError("classify_kato needs at least two times")
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise TimeDomainError("t_grid must decrease strictly")
     certs = [kato_integral(V, alpha, t) for t in t_grid]

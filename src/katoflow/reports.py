@@ -1,6 +1,5 @@
 """Report records shared by the verification suites."""
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,37 +21,22 @@ class BoundReport:
     witness: tuple | None = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def margin(self):
-        """Slack theoretical - empirical (positive when the bound holds)."""
-        return self.theoretical_value - self.empirical_value
-
     def to_dict(self):
-        def clean(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            if hasattr(v, "tolist"):
-                return v.tolist()
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
+        return {"record": "bound_report", **vars(self)}
 
-        return {
-            "record": "bound_report",
-            "bound_name": self.bound_name,
-            "parameters": clean(self.parameters),
-            "theoretical_value": clean(self.theoretical_value),
-            "empirical_value": clean(self.empirical_value),
-            "stderr": self.stderr,
-            "verdict": self.verdict,
-            "witness": clean(self.witness),
-            "details": clean(self.details),
-        }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
+def jsonable(v):
+    """v with numpy values as Python ones and non-finite floats as the strings
+    "inf", "-inf" and "nan", through dicts, lists and tuples: strict JSON."""
+    if hasattr(v, "tolist"):
+        v = v.tolist()
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    if isinstance(v, dict):
+        return {k: jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
+    return v
 
 
 def one_sided_verdict(empirical, theoretical, stderr=0.0, tol=0.0):

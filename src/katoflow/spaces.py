@@ -11,7 +11,7 @@ spectral series with eigenvalues l(l+1)/radius^2.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -275,7 +275,6 @@ class MomentEstimate:
     value: float
     stderr: float
     n_samples: int
-    details: dict = field(default_factory=dict)
 
 
 def moment_check(space, t, x, order, n_samples, seed, workers=1):
@@ -344,49 +343,19 @@ def conservativeness_defect(space, t, x):
 
 
 def chapman_kolmogorov_defect(space, t, s, x, y):
-    """|int p(t,x,z) p(s,z,y) dz - p(t+s,x,y)| by quadrature."""
+    """|int p(t,x,z) p(s,z,y) dz - p(t+s,x,y)| by quadrature on R^1."""
+    if space.kind != "euclidean" or space.dimension != 1:
+        raise InvalidPointError("Chapman-Kolmogorov quadrature supports R^1 only")
     x = space.check_point(x)
     y = space.check_point(y)
-    if space.kind == "euclidean" and space.dimension == 1:
-        w = 14.0 * math.sqrt(max(t, s)) + abs(x[0]) + abs(y[0]) + 1.0
+    w = 14.0 * math.sqrt(max(t, s)) + abs(x[0]) + abs(y[0]) + 1.0
 
-        def integrand(z):
-            pz = np.array([z])
-            return space.heat_kernel(t, x, pz) * space.heat_kernel(s, pz, y)
+    def integrand(z):
+        pz = np.array([z])
+        return space.heat_kernel(t, x, pz) * space.heat_kernel(s, pz, y)
 
-        val, _ = integrate.quad(integrand, -w, w, limit=400)
-        return abs(val - space.heat_kernel(t + s, x, y))
-    if space.kind == "sphere2":
-        # integrate over the sphere in coordinates polar about x
-        r = space.radius
-        xhat = x / r
-        # orthonormal frame (xhat, e1, e2)
-        probe = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(probe, xhat)) > 0.9:
-            probe = np.array([0.0, 1.0, 0.0])
-        e1 = probe - np.dot(probe, xhat) * xhat
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(xhat, e1)
-
-        def inner(theta):
-            def by_phi(phi):
-                z = r * (
-                    math.cos(theta) * xhat
-                    + math.sin(theta) * (math.cos(phi) * e1 + math.sin(phi) * e2)
-                )
-                ang_zy = math.acos(
-                    min(1.0, max(-1.0, float(np.dot(z, y)) / (r * r)))
-                )
-                return float(
-                    space.sphere_kernel_theta(t, theta)
-                ) * float(space.sphere_kernel_theta(s, ang_zy))
-
-            val, _ = integrate.quad(by_phi, 0.0, 2.0 * math.pi, limit=100)
-            return val * math.sin(theta) * r * r
-
-        val, _ = integrate.quad(inner, 0.0, math.pi, limit=100)
-        return abs(val - space.heat_kernel(t + s, x, y))
-    raise InvalidPointError("Chapman-Kolmogorov quadrature supports R^1 and S^2")
+    val, _ = integrate.quad(integrand, -w, w, limit=400)
+    return abs(val - space.heat_kernel(t + s, x, y))
 
 
 def ball_volume(space, geodesic_radius):

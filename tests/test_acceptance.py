@@ -163,14 +163,14 @@ def test_c10_main_theorem_verdicts():
     ok = True
     for t in (0.5, 1.0):
         rep = bounds.verify_main_theorem(
-            mol, phi, 0.0, 0.5, t, n_paths=10_000, seed=606
+            mol, phi, 0.5, t, n_paths=10_000, seed=606
         )
         ok &= rep.verdict == "holds"
     # V = 0 degenerate reduction agrees with the quadrature criteria to 1e-10
     for t in (0.25, 1.0, 4.0):
         for alpha in (0.25, 0.5, 0.75, 1.0):
             rep0 = bounds.verify_main_theorem(
-                potentials.ZeroPotential(E1), functions.Sign(), 0.0, alpha, t
+                potentials.ZeroPotential(E1), functions.Sign(), alpha, t
             )
             ref = bounds.holder_quotient(E1, t, alpha, functions.Sign())
             ok &= abs(rep0.empirical_value - ref.empirical_value) < 1e-10

@@ -184,7 +184,7 @@ def test_reduction_chain_v0():
 
 def test_verify_main_theorem_v0_matches_holder():
     rep_thm = bounds.verify_main_theorem(
-        potentials.ZeroPotential(E1), functions.Sign(), 0.0, 0.5, 1.0
+        potentials.ZeroPotential(E1), functions.Sign(), 0.5, 1.0
     )
     rep_hq = bounds.holder_quotient(E1, 1.0, 0.5, functions.Sign())
     assert rep_thm.verdict == "holds"
@@ -197,7 +197,7 @@ def test_verify_main_theorem_hydrogen():
     pairs = bounds.pair_grid_euclidean(E3, anchors=[np.zeros(3)], scale=1.0, k_max=3)
     pairs = [pairs[i] for i in range(0, len(pairs), 2)]
     report = bounds.verify_main_theorem(
-        HYDROGEN, phi, 0.0, 0.5, 0.5, pairs=pairs, n_paths=4000, seed=3
+        HYDROGEN, phi, 0.5, 0.5, pairs=pairs, n_paths=4000, seed=3
     )
     assert report.verdict == "holds"
     assert math.isfinite(report.theoretical_value)
@@ -207,7 +207,7 @@ def test_verify_main_theorem_hydrogen():
 def test_eigenfunction_corollary_hydrogen():
     pairs = bounds.pair_grid_euclidean(E3, anchors=[np.zeros(3)], scale=2.0, k_max=8)
     report = bounds.verify_eigenfunction_corollary(
-        functions.HydrogenGround(), -0.25, HYDROGEN, 0.0, 0.5, 1.0, pairs
+        functions.HydrogenGround(), -0.25, HYDROGEN, 0.5, 1.0, pairs
     )
     assert report.verdict == "holds"
     # analytic Lipschitz constant of e^{-r/2} is 1/2, so quotients at unit
@@ -289,7 +289,7 @@ def test_pair_point_estimates_do_not_depend_on_workers():
     theorem_rows, quotients = [], []
     for workers in (1, 2, 8):
         report = bounds.verify_main_theorem(
-            HYDROGEN, phi, 0.0, 0.5, 0.5, n_paths=256, seed=7, workers=workers
+            HYDROGEN, phi, 0.5, 0.5, n_paths=256, seed=7, workers=workers
         )
         theorem_rows.append(report.details["rows"])
         quotients.append(bounds.measured_holder_quotient_mc(

@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from katoflow import cli, spaces
+from katoflow import cli, potentials, spaces
 
 
 def run(args):
@@ -43,12 +44,76 @@ def test_bad_config_value_exits_2(tmp_path):
     ("couple", "n_runs=0"),
     ("duhamel", "step_ladder=[0]"),
     ("couple", "separation=0"),
+    ("kato", "t_grid=[]"),
+    ("theorem", "t_grid=[]"),
+    ("couple", "t_grid=[]"),
+    ("kernel-checks", "t_grid=[]"),
+    ("molecule", "alpha_grid=[]"),
+    ("fk", "t_grid=[]"),
+    ("duhamel", "step_ladder=[]"),
+    ("kato", "classify_t_grid=[]"),
+    ("kato", "classify_t_grid=[0.5]"),  # a slope needs two times
+    ("theorem", "K=1"),  # K is the space's Ricci lower bound
 ])
 def test_mistyped_override_exits_2(tmp_path, capsys, suite, override):
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
                 "--set", override]) == 2
     assert not (tmp_path / "o").exists()
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def _strict_json_lines(path):
+    """Every line of an ndjson file, parsed with NaN and Infinity refused."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return [json.loads(line, parse_constant=refuse)
+            for line in path.read_text().splitlines()]
+
+
+def test_kato_records_are_strict_json(tmp_path):
+    """Hydrogen at alpha = 1 has infinite certificate values; they are
+    written as the string "inf", never as a bare Infinity."""
+    out = tmp_path / "o"
+    assert run(["kato", "--seed", "1", "--out", str(out),
+                "--set", 'potential={"type":"hydrogen"}',
+                "--set", "alpha_grid=[0.5,1.0]"]) == 0
+    records = _strict_json_lines(out / "records.ndjson")
+    assert "inf" in json.dumps(records)
+
+
+_MOLECULE = ('potential={"type":"molecular","m":2,"nuclei":'
+             '[{"R":[0,0,0],"Z":2},{"R":[1,0,0],"Z":1}]}')
+
+
+@pytest.mark.parametrize("overrides", [
+    ['potential={"type":"bump"}'],  # reference: the sup-norm upper bound
+    ['potential={"type":"constant","c":0.7,"dim":3}'],  # weights without spread
+    [_MOLECULE, "alpha_grid=[0.5]"],  # reference: the triangle-inequality bound
+])
+def test_kato_monte_carlo_verdicts_hold_on_correct_code(tmp_path, overrides):
+    args = ["kato", "--seed", "1", "--out", str(tmp_path / "o"),
+            "--set", "mc_samples=5000"]
+    for item in overrides:
+        args += ["--set", item]
+    assert run(args) == 0
+
+
+def test_kato_monte_carlo_one_sided_check_catches_an_overestimate(tmp_path,
+                                                                  monkeypatch):
+    exact = potentials.kato_integral
+
+    def inflated(V, alpha, t, method="auto", **kwargs):
+        cert = exact(V, alpha, t, method=method, **kwargs)
+        if method == "monte_carlo":
+            cert.bound *= 1.5
+        return cert
+
+    monkeypatch.setattr(potentials, "kato_integral", inflated)
+    assert run(["kato", "--seed", "1", "--out", str(tmp_path / "o"),
+                "--set", 'potential={"type":"bump"}',
+                "--set", "mc_samples=5000"]) == 1
 
 
 def test_missing_seed_exits_2(tmp_path):
@@ -183,6 +248,14 @@ def test_all_suites_smoke(tmp_path):
     assert run(["all", "--config", str(cfg), "--seed", "9",
                 "--out", str(out)]) == 0
     assert run(["report", str(out)]) == 0
+    # each table's header is its row of the README's column table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = dict(re.findall(r"^\| `(\w+)` \| `([\w,]+)` \|$", readme, re.M))
+    headers = {path.name[:-len("_results.csv")]: path.read_text().splitlines()[0]
+               for path in out.glob("*_results.csv")}
+    assert len(headers) == 13
+    assert headers == documented
+    assert len(_strict_json_lines(out / "records.ndjson")) > 0
 
 
 @pytest.mark.parametrize("suites,config", [

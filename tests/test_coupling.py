@@ -120,9 +120,7 @@ def test_survival_monotone_and_decaying():
 
 def test_synchronous_survival_dominates():
     taus = np.full(20_000, math.inf)
-    report, rows = coupling.check_maximality(
-        taus, 1, 1.0, [0.5, 1.0], strategy="synchronous"
-    )
+    report, rows = coupling.check_maximality(taus, 1, 1.0, [0.5, 1.0])
     assert report.verdict == "holds"
     assert all(r["p_tau_gt_t"] == 1.0 for r in rows)
 

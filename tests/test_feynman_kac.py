@@ -160,6 +160,10 @@ def test_khashminskii_certificates():
     assert math.isfinite(big.bound_on_C_exp)
     paper = fk.khashminskii_certify(coul, r, c_v=3.0)
     assert paper.paper_style_bound == pytest.approx(2.0 * math.exp(3.0 * r))
+    # helium needs more splits than a 64-split cap allows; B's rule finds 113
+    helium = potentials.load_molecule({"m": 2, "nuclei": [{"R": [0, 0, 0], "Z": 2.0}]})
+    he = fk.khashminskii_certify(helium, 1.0)
+    assert he.subdivisions == 113 and he.kappa_per_interval < 0.5
 
 
 def test_khashminskii_empirical_exp_moment():
@@ -212,7 +216,7 @@ def test_truncation_ladder_repulsive_monotone_in_m():
 )
 def test_truncation_ladder_reproduces_fk_evaluate(v):
     x = np.array([0.5, 0.0, 0.0])
-    kwargs = dict(grid_step=0.01, tol=1e-4, max_depth=12)
+    kwargs = dict(grid_step=0.01)
     est = fk.fk_evaluate(v, PSI_H, x, 0.3, 5_000, seed=21, **kwargs)
     cap = 1.0 / est.action_integrator["epsilon"]
     lo = -cap if v.lower_bound is None else max(-cap, v.lower_bound)
