@@ -772,6 +772,12 @@ def _validate(suite, supplied):
             )
         if value == []:
             raise ConfigError(f"{suite}.{key} must not be empty")
+        # a list whose default holds numbers must hold numbers
+        if (expected is list and all(_accepts(float, v) for v in default)
+                and not all(_accepts(float, v) for v in value)):
+            raise ConfigError(f"{suite}.{key} must be a list of numbers")
+        if key == "classify_t_grid" and len(value) < 2:
+            raise ConfigError(f"{suite}.{key} needs at least two times")
         params[key] = value
     for key, (default, _expected) in schema.items():
         params.setdefault(key, default)

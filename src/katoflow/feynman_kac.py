@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 
 from . import paths
 from . import potentials as pot
@@ -453,9 +454,13 @@ def duhamel_residual(V, psi, t, n_time_steps):
     phi = np.asarray(psi(xs[:, None]), dtype=float)
     h = t / n_time_steps
 
+    # xs[i] - xs[j] = +-lag[|i - j|] bit for bit on this grid, so the kernel
+    # matrix is the symmetric Toeplitz matrix of its values on the n lags
+    lag = xs - xs[0]
+
     def p_matrix(s):
-        diff = xs[:, None] - xs[None, :]
-        return (4.0 * math.pi * s) ** -0.5 * np.exp(-diff * diff / (4.0 * s)) * dx
+        k = (4.0 * math.pi * s) ** -0.5 * np.exp(-lag * lag / (4.0 * s)) * dx
+        return linalg.toeplitz(k)
 
     d_half = np.exp(-0.5 * h * vvec)
     p_h = p_matrix(h)

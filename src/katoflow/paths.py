@@ -35,12 +35,16 @@ def sample_paths_batch(space, x, horizon, grid_step, n, rng):
     x = space.check_point(x)
     times, steps = _grid(horizon, grid_step)
     if space.kind == "euclidean":
-        d = space.dimension
-        incr = rng.standard_normal((n, len(steps), d)) * np.sqrt(2.0 * steps)[None, :, None]
-        pts = np.empty((n, len(times), d))
+        # the increments are scaled and the start added on flat (n, m*d)
+        # rows: the same elementwise operations as a broadcast over the
+        # length-d axis, without numpy's slow inner loop of length d
+        d, m = space.dimension, len(steps)
+        incr = rng.standard_normal((n, m * d))
+        incr *= np.repeat(np.sqrt(2.0 * steps), d)
+        pts = np.empty((n, m + 1, d))
         pts[:, 0, :] = x
-        np.cumsum(incr, axis=1, out=pts[:, 1:, :])
-        pts[:, 1:, :] += x
+        np.cumsum(incr.reshape(n, m, d), axis=1, out=pts[:, 1:, :])
+        pts.reshape(n, -1)[:, d:] += np.tile(x, m)
         return times, pts
     pts = np.empty((n, len(times), 3))
     pts[:, 0, :] = x
@@ -57,7 +61,12 @@ def bridge_midpoints(xl, xr, delta, rng):
     ``xl`` and ``xr`` hold the interval endpoints row by row; the midpoint law
     is the endpoint average plus per-coordinate variance 2*(delta/4) = delta/2.
     """
-    return 0.5 * (xl + xr) + math.sqrt(delta / 2.0) * rng.standard_normal(xl.shape)
+    mid = xl + xr
+    mid *= 0.5
+    noise = rng.standard_normal(xl.shape)
+    noise *= math.sqrt(delta / 2.0)
+    mid += noise
+    return mid
 
 
 def holder_modulus(space, times, points, alpha):

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import streams
+from .spaces import _row_distances
 from .errors import (
     DivergentBoundError,
     HypothesisViolationError,
@@ -31,14 +32,6 @@ SQRT_PI = math.sqrt(math.pi)
 # ---------------------------------------------------------------------------
 # smoothed Coulomb values (heat semigroup applied to 1/|y - center|)
 # ---------------------------------------------------------------------------
-
-
-def _norm3(v):
-    """``np.linalg.norm(v, axis=1)`` of an ``(n, 3)`` array, bit for bit: the
-    same left-to-right sum of squares without numpy's slow reduction over a
-    length-3 axis."""
-    x, y, z = v[:, 0], v[:, 1], v[:, 2]
-    return np.sqrt(x * x + y * y + z * z)
 
 
 def smoothed_coulomb_dist(s, u):
@@ -135,14 +128,14 @@ class CoulombPotential(Potential):
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = _norm3(pts - self.center)
+        r = _row_distances(pts, self.center)
         with np.errstate(divide="ignore"):
             mag = self.charge / r
         return -mag if self.attractive else mag
 
     def singularity_distance(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _norm3(pts - self.center)
+        return _row_distances(pts, self.center)
 
     def smoothed_abs(self, s, x):
         u = np.linalg.norm(np.asarray(x, dtype=float) - self.center)
@@ -284,10 +277,10 @@ class MolecularPotential(Potential):
             val = np.zeros(blocks.shape[0])
             for j in range(self.m):
                 for i in range(self.l):
-                    val -= self.Z[i] / _norm3(blocks[:, j] - self.R[i])
+                    val -= self.Z[i] / _row_distances(blocks[:, j], self.R[i])
             for i in range(self.m):
                 for j in range(i + 1, self.m):
-                    val += 1.0 / _norm3(blocks[:, i] - blocks[:, j])
+                    val += 1.0 / _row_distances(blocks[:, i], blocks[:, j])
         return val
 
     def singularity_distance(self, pts):
@@ -295,13 +288,13 @@ class MolecularPotential(Potential):
         dist = np.full(blocks.shape[0], np.inf)
         for j in range(self.m):
             for i in range(self.l):
-                dist = np.minimum(dist, _norm3(blocks[:, j] - self.R[i]))
+                dist = np.minimum(dist, _row_distances(blocks[:, j], self.R[i]))
         for i in range(self.m):
             for j in range(i + 1, self.m):
                 # orthogonal distance to the coincidence subspace {x_i = x_j}
                 dist = np.minimum(
                     dist,
-                    _norm3(blocks[:, i] - blocks[:, j]) / math.sqrt(2),
+                    _row_distances(blocks[:, i], blocks[:, j]) / math.sqrt(2),
                 )
         return dist
 

@@ -26,6 +26,23 @@ _SPHERE_TABLE = 257  # angle-table nodes that bracket each inverse-CDF solve
 _SPHERE_MAX_ITER = 64  # a cap only: the residual test stops after 2-4 steps
 
 
+def _row_distances(a, b):
+    """``np.linalg.norm(a - b, axis=-1)`` of two broadcastable arrays, bit for
+    bit.  numpy sums an axis shorter than 8 left to right, which the column
+    by column sum below repeats without numpy's slow reduction over a short
+    axis; longer axes are summed pairwise, so they keep the norm itself."""
+    if a.shape[-1] >= 8:
+        return np.linalg.norm(a - b, axis=-1)
+    out = a[..., 0] - b[..., 0]
+    out *= out
+    for k in range(1, a.shape[-1]):
+        col = a[..., k] - b[..., k]
+        col *= col
+        out += col
+    # two single points give a numpy scalar, which cannot be written in place
+    return np.sqrt(out, out=out if out.ndim else None)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """A model geometry: metric, measure, exact heat kernel, sampler."""
@@ -75,7 +92,7 @@ class StateSpace:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if self.kind == "euclidean":
-            return np.linalg.norm(xs - ys, axis=-1)
+            return _row_distances(xs, ys)
         r = self.radius
         cosang = np.clip(np.sum(xs * ys, axis=-1) / (r * r), -1.0, 1.0)
         return r * np.arccos(cosang)
@@ -287,7 +304,7 @@ def moment_check(space, t, x, order, n_samples, seed, workers=1):
 
     def chunk(rng, size, _k):
         ys = space.sample_transition_batch(t, x, size, rng)
-        dist = space.distance_batch(np.tile(x, (size, 1)), ys)
+        dist = space.distance_batch(x, ys)
         vals = dist**order
         return size, np.sum(vals), np.sum(vals * vals)
 

@@ -54,12 +54,30 @@ def test_bad_config_value_exits_2(tmp_path):
     ("kato", "classify_t_grid=[]"),
     ("kato", "classify_t_grid=[0.5]"),  # a slope needs two times
     ("theorem", "K=1"),  # K is the space's Ricci lower bound
+    ("kato", 't_grid=["a"]'),
+    ("fk", "x=[0, null]"),
 ])
 def test_mistyped_override_exits_2(tmp_path, capsys, suite, override):
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
                 "--set", override]) == 2
     assert not (tmp_path / "o").exists()
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("suite,override", [
+    ("kato", "classify_t_grid=[0.5]"),
+    ("molecule", "classify_t_grid=[0.5]"),
+    ("kato", 't_grid=["a"]'),
+    ("molecule", "calibration_t=[0.5, true]"),
+])
+def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, override):
+    def refuse(*_args):
+        raise AssertionError("a suite ran on a config that fails validation")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
+                "--set", override]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def _strict_json_lines(path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from katoflow import feynman_kac as fk
-from katoflow import functions, potentials, spaces, streams
+from katoflow import functions, paths, potentials, spaces, streams
 from katoflow.errors import NonKatoError, TimeDomainError
 
 E1 = spaces.euclidean(1)
@@ -251,6 +251,74 @@ def test_duhamel_second_order_refinement():
     residuals = [fk.duhamel_residual(bump, phi, 0.5, m) for m in (8, 16, 32, 64)]
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     assert all(r >= 3.5 for r in ratios)
+
+
+def _dense_duhamel_residual(V, psi, t, n_time_steps):
+    """duhamel_residual with every kernel matrix built entry by entry from
+    the full xs[i] - xs[j] difference matrix."""
+    dx = 0.02
+    xs = np.arange(-10.0, 10.0 + dx / 2.0, dx)
+    vvec = np.asarray(V(xs[:, None]), dtype=float)
+    phi = np.asarray(psi(xs[:, None]), dtype=float)
+    h = t / n_time_steps
+
+    def p_matrix(s):
+        diff = xs[:, None] - xs[None, :]
+        return (4.0 * math.pi * s) ** -0.5 * np.exp(-diff * diff / (4.0 * s)) * dx
+
+    d_half = np.exp(-0.5 * h * vvec)
+    p_h = p_matrix(h)
+    states = [phi]
+    for _ in range(n_time_steps):
+        states.append(d_half * (p_h @ (d_half * states[-1])))
+    acc = np.zeros(xs.size)
+    for j in range(n_time_steps + 1):
+        weight = 0.5 if j in (0, n_time_steps) else 1.0
+        integrand = vvec * states[n_time_steps - j]
+        if j > 0:
+            integrand = p_matrix(j * h) @ integrand
+        acc += weight * integrand
+    rhs = p_matrix(t) @ phi - h * acc
+    mask = np.abs(xs) <= 5.0
+    return float(np.max(np.abs(states[-1][mask] - rhs[mask])))
+
+
+@pytest.mark.parametrize("n_time_steps", [8, 64])
+@pytest.mark.parametrize("potential", [
+    potentials.BoundedPotential(E1, functions.SmoothBump(1.0, 1.0), sup_norm=1.0,
+                                lower_bound=0.0),
+    potentials.ConstantPotential(E1, 0.1),
+], ids=["bump", "constant"])
+def test_duhamel_toeplitz_kernel_matches_the_dense_kernel_bit_for_bit(
+    potential, n_time_steps
+):
+    phi = functions.SmoothBump(1.0, 1.5)
+    assert fk.duhamel_residual(potential, phi, 0.5, n_time_steps) == (
+        _dense_duhamel_residual(potential, phi, 0.5, n_time_steps)
+    )
+
+
+def test_fk_evaluate_goes_through_the_traced_layer_boundaries(monkeypatch):
+    """The benchmark's tracer wraps paths.sample_paths_batch and each
+    potential class's own __call__ and singularity_distance by name, and its
+    coverage check fails a run in which they record nothing.  A hydrogen
+    evaluation must call all three through those names."""
+    calls = dict.fromkeys(("sample_paths_batch", "__call__", "singularity_distance"), 0)
+
+    def count(owner, attr):
+        original = vars(owner)[attr]
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(paths, "sample_paths_batch")
+    count(type(HYDROGEN), "__call__")
+    count(type(HYDROGEN), "singularity_distance")
+    fk.fk_evaluate(HYDROGEN, PSI_H, np.array([0.3, 0.0, 0.0]), 0.1, 64, seed=3)
+    assert all(n > 0 for n in calls.values()), calls
 
 
 def test_fk_rejects_bad_time():

@@ -175,3 +175,32 @@ def test_holder_modulus_diverges_above_half():
     med_coarse = np.median(_moduli(0.6, 1e-2, 12, 41))
     med_fine = np.median(_moduli(0.6, 1e-4, 12, 41))
     assert med_fine >= 2.0 * med_coarse
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+@pytest.mark.parametrize("grid_step", [0.1, 0.3])  # uniform, then a short last step
+def test_euclidean_paths_match_the_broadcast_form_bit_for_bit(d, grid_step):
+    """The flat-row sampler repeats the (n, steps, d) broadcast's elementwise
+    operations in the same order, so every path keeps its bits."""
+    space = spaces.euclidean(d)
+    x = np.linspace(-0.7, 1.3, d)
+    times, pts = paths.sample_paths_batch(space, x, 1.0, grid_step, 50,
+                                          np.random.default_rng(4))
+    # the broadcast form the sampler replaces
+    want_times, steps = paths._grid(1.0, grid_step)
+    rng = np.random.default_rng(4)
+    incr = rng.standard_normal((50, len(steps), d)) * np.sqrt(2.0 * steps)[None, :, None]
+    want = np.empty((50, len(want_times), d))
+    want[:, 0, :] = x
+    np.cumsum(incr, axis=1, out=want[:, 1:, :])
+    want[:, 1:, :] += x
+    assert np.array_equal(times, want_times)
+    assert np.array_equal(pts, want)
+
+
+def test_bridge_midpoints_match_the_expression_form_bit_for_bit():
+    rng = np.random.default_rng(6)
+    xl, xr = rng.standard_normal((2, 400, 3)) * 3.0
+    got = paths.bridge_midpoints(xl, xr, 0.037, np.random.default_rng(8))
+    noise = np.random.default_rng(8).standard_normal(xl.shape)
+    assert np.array_equal(got, 0.5 * (xl + xr) + math.sqrt(0.037 / 2.0) * noise)

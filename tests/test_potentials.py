@@ -349,3 +349,23 @@ def test_kato_integral_validates_inputs():
         potentials.kato_integral(COULOMB, -0.1, 1.0)
     with pytest.raises(TimeDomainError):
         potentials.kato_integral(COULOMB, 0.5, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+def test_coulomb_distances_keep_numpy_norm_bits_on_special_rows():
+    """-0.0, inf and nan coordinates give np.linalg.norm's distances too."""
+    rng = np.random.default_rng(9)
+    pts6 = rng.standard_normal((300, 6))
+    pts6[:10] = -0.0
+    pts6[10:20, 0] = np.inf
+    pts6[20:30, 4] = -np.inf
+    pts6[30:40, 2] = np.nan
+    mol = potentials.MolecularPotential(E6, 2, [(0.0, -0.0, 0.5)], [1.0])
+    b = pts6.reshape(-1, 2, 3)
+    nuc = [np.linalg.norm(b[:, j] - mol.R[0], axis=1) for j in range(2)]
+    pair = np.linalg.norm(b[:, 0] - b[:, 1], axis=1) / math.sqrt(2)
+    want = np.minimum(np.minimum(nuc[0], nuc[1]), pair)
+    assert np.array_equal(mol.singularity_distance(pts6), want, equal_nan=True)
+    pts3 = pts6[:, 3:]
+    assert np.array_equal(COULOMB.singularity_distance(pts3),
+                          np.linalg.norm(pts3 - COULOMB.center, axis=1), equal_nan=True)

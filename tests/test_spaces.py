@@ -259,3 +259,35 @@ def test_li_yau_scan_finds_constant():
         S2, t_grid=[0.1, 0.5, 0.9], dist_grid=np.linspace(0.0, math.pi, 7)
     )
     assert math.isfinite(c_sphere)
+
+
+def _rows_with_special_values(d, n=2000, seed=12):
+    """Random rows over many scales, with -0.0, inf and nan planted in some."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-8, 8, (n, 1))
+    rows[:20] = -0.0
+    rows[20:40, 0] = np.inf
+    rows[40:60, -1] = -np.inf
+    rows[60:80, d // 2] = np.nan
+    return rows
+
+
+def _same(got, want):
+    return np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 7, 9])
+def test_euclidean_distances_match_numpy_norm_bit_for_bit(d):
+    """Column-by-column sums below 8 columns, and the norm itself above, give
+    np.linalg.norm's bits, for single points, row blocks and path batches."""
+    space = spaces.euclidean(d)
+    a = _rows_with_special_values(d)
+    b = _rows_with_special_values(d, seed=13)[::-1]
+    assert _same(space.distance_batch(a, b), np.linalg.norm(a - b, axis=-1))
+    assert _same(space.distance_batch(a[7], b), np.linalg.norm(a[7] - b, axis=-1))
+    batch = a.reshape(20, -1, d)
+    assert _same(space.distance_batch(batch[:, 1:], batch[:, :-1]),
+                np.linalg.norm(batch[:, 1:] - batch[:, :-1], axis=-1))
+    assert space.distance_batch(a[100], b[100]) == np.linalg.norm(a[100] - b[100])
+    assert _same(spaces._row_distances(a, b[5]), np.linalg.norm(a - b[5], axis=-1))
