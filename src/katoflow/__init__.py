@@ -4,7 +4,7 @@ for Schrodinger-semigroup smoothing bounds on explicit model spaces."""
 __version__ = "0.1.0"
 
 from .spaces import StateSpace, euclidean, sphere2  # noqa: F401
-from .paths import sample_paths_batch, bridge_midpoints, holder_modulus  # noqa: F401
+from .paths import sample_paths_batch, bridge_midpoints  # noqa: F401
 from .coupling import (  # noqa: F401
     simulate_reflection_taus,
     simulate_reflection_endpoints,
@@ -17,12 +17,8 @@ from .potentials import (  # noqa: F401
     CoulombPotential,
     MolecularPotential,
     KatoCertificate,
-    smoothed_coulomb,
     kato_integral,
     classify_kato,
-    extend_small_time,
-    lq_kato_bound,
-    submersion_project,
     load_molecule,
 )
 from .feynman_kac import (  # noqa: F401
@@ -30,7 +26,6 @@ from .feynman_kac import (  # noqa: F401
     KhashminskiiCertificate,
     fk_evaluate,
     khashminskii_certify,
-    truncation_ladder,
     duhamel_residual,
 )
 from .bounds import (  # noqa: F401

@@ -178,11 +178,15 @@ def _pair_rows(space, pairs, values):
 
 def _worst_pair(rows, alpha, norm):
     """(sup |difference| / (d^alpha norm), its stderr on that scale, its pair)
-    over ``_pair_rows``; the pair is None when every quotient is 0."""
+    over ``_pair_rows``; the pair is None when every quotient is 0.  A NaN
+    quotient is returned as the sup, so a pair without an estimate is never
+    passed over."""
     best, best_se, witness = 0.0, 0.0, None
     for x, y, dist, diff, se in rows:
         scale = dist**alpha * norm
         q = diff / scale
+        if math.isnan(q):
+            return q, se / scale, (x, y)
         if q > best:
             best, best_se, witness = q, se / scale, (x, y)
     return best, best_se, witness

@@ -753,7 +753,7 @@ def _accepts(expected, value):
     if isinstance(expected, tuple):
         return any(_accepts(e, value) for e in expected)
     if expected in (int, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return pot._is_number(value)
     return isinstance(value, expected)
 
 
@@ -964,6 +964,9 @@ def main(argv=None):
             (suite, params, run_suite(suite, params, args.seed, args.workers))
             for suite, params in selected
         ]
+        # a run starts the records and meta files afresh; its suites append
+        for name in ("records.ndjson", "meta.json"):
+            (Path(args.out) / name).unlink(missing_ok=True)
         return max(
             write_suite(args.out, suite, args.seed, params, *result)
             for suite, params, result in results

@@ -25,10 +25,6 @@ class UnsupportedStrategyError(KatoflowError):
     """Coupling strategy not available on this state space."""
 
 
-class HypothesisViolationError(KatoflowError):
-    """An analytic hypothesis (e.g. q > N/(2-alpha)) does not hold."""
-
-
 class PrecisionError(KatoflowError):
     """Not enough samples/runs to produce a meaningful statistic."""
 

@@ -6,8 +6,7 @@ adaptive Brownian-bridge refinement near singularity approaches, and V is
 clipped to the caps 2^k/eps0 (eps0 = 0.05, k = 0..6), of which the
 epsilon-halving rule picks one (stop once the estimate moves by less than
 half a standard error).  fk_evaluate is the one estimator that picks a cap level;
-the Kato Monte Carlo route averages its raw weights, and truncation_ladder
-reports every level it is given.
+the Kato Monte Carlo route averages its raw weights.
 """
 
 import math
@@ -69,20 +68,8 @@ class KhashminskiiCertificate:
     r: float
     kappa: float
     bound_on_C_exp: float
-    subdivisions: int = 1
-    kappa_per_interval: float = None
-    paper_style_bound: float = None  # 2*exp(C_V r) for user-supplied C_V
-
-
-@dataclass
-class TruncationLadderReport:
-    levels: list  # [(n, m)]
-    estimates: list
-    stderrs: list
-    monotone_decreasing_in_m: bool
-    monotone_increasing_in_n: bool
-    converged: bool
-    flags: list = field(default_factory=list)
+    subdivisions: int
+    kappa_per_interval: float
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +328,7 @@ def khashminskii_bound(kappa_at, r):
     )
 
 
-def khashminskii_certify(V, r, kato0=None, c_v=None):
+def khashminskii_certify(V, r, kato0=None):
     """Bound on C_exp(V, r) = sup_x E^x exp(int_0^r |V|) by khashminskii_bound
     on the alpha=0 Kato certificates of V."""
     if kato0 is None:
@@ -354,8 +341,7 @@ def khashminskii_certify(V, r, kato0=None, c_v=None):
         return kappa if s == r else pot.kato_integral(V, 0.0, s).bound
 
     bound, k, kap_k = khashminskii_bound(kappa_at, r)
-    paper = None if c_v is None else 2.0 * math.exp(c_v * r)
-    return KhashminskiiCertificate(r, kappa, bound, k, kap_k, paper)
+    return KhashminskiiCertificate(r, kappa, bound, k, kap_k)
 
 
 class _NegAbs(pot.Potential):
@@ -364,7 +350,6 @@ class _NegAbs(pot.Potential):
     def __init__(self, base):
         self.base = base
         self.space = base.space
-        self.singularities = base.singularities
         self.lower_bound = None
         self.name = f"-|{base.name}|"
 
@@ -390,41 +375,6 @@ def exp_action_moment(V, x, r, n_paths, seed, grid_step=None, workers=1):
         check_bound=False,
     )
     return est.value, est.stderr
-
-
-# ---------------------------------------------------------------------------
-# the V_{n,m} truncation ladder
-# ---------------------------------------------------------------------------
-
-
-def truncation_ladder(V, psi, x, t, levels, n_paths, seed, grid_step=None, workers=1):
-    """fk_evaluate with V clipped to [-n, m] per level, common random numbers.
-
-    With shared paths the monotonicity of the capped action is path-wise
-    exact: estimates decrease in m and increase in n (for psi >= 0)."""
-    x = V.space.check_point(x)
-    n_steps = _grid_steps(t, grid_step)
-    levels = [(float(n), float(m)) for n, m in levels]
-    _n, means, ses, _leaves = _fk_ladder(
-        V, psi, x, t, n_paths, seed, n_steps,
-        [(-n_low, m_high) for n_low, m_high in levels], workers
-    )
-    means, ses = means.tolist(), ses.tolist()
-
-    mono_m = True
-    mono_n = True
-    for (n1, m1), e1 in zip(levels, means):
-        for (n2, m2), e2 in zip(levels, means):
-            if n1 == n2 and m2 > m1 and e2 > e1 + 1e-12:
-                mono_m = False
-            if m1 == m2 and n2 > n1 and e2 < e1 - 1e-12:
-                mono_n = False
-    converged = (
-        len(means) < 2
-        or abs(means[-1] - means[-2]) <= 3.0 * (ses[-1] + ses[-2]) + 1e-12
-    )
-    flags = [] if (mono_m and mono_n) else ["integration_bias_flag"]
-    return TruncationLadderReport(levels, means, ses, mono_m, mono_n, converged, flags)
 
 
 # ---------------------------------------------------------------------------

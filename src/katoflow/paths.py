@@ -1,9 +1,9 @@
-"""Batch Brownian paths, bridge midpoints and Hoelder moduli.
+"""Batch Brownian paths and bridge midpoints.
 
-``sample_paths_batch`` draws n paths on one time grid; ``bridge_midpoints``
-is the Brownian-bridge midpoint law that refines a batch of grid intervals,
-which is what accurate action integrals of singular potentials need; and
-``holder_modulus`` measures the Hoelder regularity of sampled paths.
+``sample_paths_batch`` draws n paths on one time grid, and
+``bridge_midpoints`` is the Brownian-bridge midpoint law that refines a batch
+of grid intervals, which is what accurate action integrals of singular
+potentials need.
 """
 
 import math
@@ -68,33 +68,3 @@ def bridge_midpoints(xl, xr, delta, rng):
     mid += noise
     return mid
 
-
-def holder_modulus(space, times, points, alpha):
-    """max over grid pairs of d(w(s), w(s')) / |s - s'|^alpha.
-
-    ``points`` is one path ``(n_times, dim)`` or a batch ``(n, n_times, dim)``
-    on ``times``, as ``sample_paths_batch`` returns them; a batch gives one
-    modulus per path."""
-    times = np.asarray(times, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    n = len(times)
-    if n < 2:
-        raise TimeDomainError("a path needs >= 2 grid times")
-    batch = pts.reshape(-1, n, pts.shape[-1])
-    if space.kind == "sphere2":
-        diam = np.full(len(batch), math.pi * space.radius)
-    else:
-        diam = np.linalg.norm(batch.max(axis=1) - batch.min(axis=1), axis=-1)
-    best = np.zeros(len(batch))
-    live, w = np.arange(len(batch)), batch  # paths whose modulus can still grow
-    for lag in range(1, n):
-        gaps = times[lag:] - times[:-lag]
-        # gaps grow with the lag: a path whose diameter bound is reached is done
-        grow = diam[live] / gaps.min() ** alpha > best[live]
-        if not grow.all():
-            live, w = live[grow], w[grow]
-            if live.size == 0:
-                break
-        q = space.distance_batch(w[:, lag:], w[:, :-lag]) / gaps**alpha
-        best[live] = np.maximum(best[live], q.max(axis=-1))
-    return float(best[0]) if pts.ndim == 2 else best.reshape(pts.shape[:-2])

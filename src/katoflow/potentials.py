@@ -19,12 +19,7 @@ from scipy import integrate, special
 
 from . import streams
 from .spaces import _row_distances
-from .errors import (
-    DivergentBoundError,
-    HypothesisViolationError,
-    InvalidPointError,
-    TimeDomainError,
-)
+from .errors import ConfigError, InvalidPointError, TimeDomainError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -48,17 +43,6 @@ def smoothed_coulomb_dist(s, u):
     return out
 
 
-def smoothed_coulomb(space, s, x, center):
-    """Heat-smoothed Newtonian potential on R^3 (single values)."""
-    if space.kind != "euclidean" or space.dimension != 3:
-        raise InvalidPointError("smoothed_coulomb lives on euclidean(3)")
-    if s <= 0:
-        raise TimeDomainError("requires s > 0")
-    x = space.check_point(x)
-    center = space.check_point(center)
-    return float(smoothed_coulomb_dist(s, np.array([np.linalg.norm(x - center)]))[0])
-
-
 def _coulomb_kato(charge, alpha, t):
     """Kato integral of charge/|y - c| on R^3: the sup sits at the center,
     where the smoothed value is charge/sqrt(pi s)."""
@@ -76,18 +60,13 @@ class Potential:
     """Base potential: a batch evaluator plus Kato-relevant metadata."""
 
     space = None
-    singularities = ()
     sup_norm = None  # finite for bounded potentials
     lower_bound = None  # finite when V is bounded below
     is_zero = False
-    lq_split = None  # {"q": q, "lq_norm": a, "linf_norm": b} when declared
     name = "potential"
 
     def __call__(self, pts):
         raise NotImplementedError
-
-    def evaluate_one(self, x):
-        return float(self(np.asarray(x, dtype=float)[None, :])[0])
 
     def singularity_distance(self, pts):
         """Distance to the singular locus; None when V has no singularities."""
@@ -122,7 +101,6 @@ class CoulombPotential(Potential):
         self.center = np.asarray(center, dtype=float)
         self.charge = float(charge)
         self.attractive = bool(attractive)
-        self.singularities = ({"type": "point", "where": self.center},)
         self.lower_bound = None if attractive else 0.0
         self.name = f"coulomb(Z={charge}, {'-' if attractive else '+'})"
 
@@ -150,17 +128,6 @@ class CoulombPotential(Potential):
 
     def closed_form_kato(self, alpha, t):
         return _coulomb_kato(self.charge, alpha, t)
-
-    def lq_split_for(self, q):
-        """Declared L^q + L^inf split: singular part on the unit ball."""
-        if q >= 3:
-            raise HypothesisViolationError("Coulomb is in L^q(R^3) only for q < 3")
-        ball = 4.0 * math.pi / (3.0 - q)  # int_{|y|<1} |y|^{-q} dy
-        return {
-            "q": q,
-            "lq_norm": self.charge * ball ** (1.0 / q),
-            "linf_norm": self.charge,
-        }
 
 
 class OscillatorPotential(Potential):
@@ -257,14 +224,6 @@ class MolecularPotential(Potential):
                 f"molecular space must be euclidean({3 * self.m})"
             )
         self.space = space
-        sing = []
-        for j in range(self.m):
-            for i in range(self.l):
-                sing.append({"type": "nucleus", "electron": j, "center": self.R[i]})
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                sing.append({"type": "coincidence", "pair": (i, j)})
-        self.singularities = tuple(sing)
         self.name = f"molecular(m={self.m}, l={self.l})"
 
     def _blocks(self, pts):
@@ -363,7 +322,7 @@ class KatoCertificate:
     alpha: float
     t: float
     bound: float
-    method: str  # closed_form | quadrature | monte_carlo | extension
+    method: str  # closed_form | quadrature | monte_carlo
     sup_witness: np.ndarray | None = None
     stderr: float = 0.0
     details: dict = field(default_factory=dict)
@@ -581,93 +540,13 @@ def classify_kato(V, t_grid, alpha):
     )
 
 
-def extend_small_time(cert, target_t):
-    """Chapman-Kolmogorov extension: bound(t) <= ceil(t/t') * bound(t')."""
-    if not cert.finite:
-        raise DivergentBoundError("cannot extend an infinite certificate")
-    if target_t < cert.t:
-        raise TimeDomainError("target horizon must be >= certificate horizon")
-    ell = max(1, math.ceil(target_t / cert.t - 1e-12))
-    return KatoCertificate(
-        cert.alpha,
-        target_t,
-        ell * cert.bound,
-        "extension",
-        cert.sup_witness,
-        ell * cert.stderr,
-        {"l": ell, "base_t": cert.t, "base_bound": cert.bound},
-    )
-
-
-def lq_kato_bound(V, q, alpha, t):
-    """Kato bound from a declared L^q + L^inf decomposition on R^N.
-
-    Uses the exact on-diagonal Euclidean kernel sup (4 pi s)^{-N/(2q)} in the
-    Hoelder chain; requires q > N/(2 - alpha)."""
-    space = V.space
-    if space.kind != "euclidean":
-        raise HypothesisViolationError("lq_kato_bound is specialized to R^N")
-    n_dim = space.dimension
-    if not 0.0 <= alpha <= 1.0:
-        raise TimeDomainError("alpha must lie in [0, 1]")
-    if q <= n_dim / (2.0 - alpha):
-        raise HypothesisViolationError(
-            f"need q > N/(2-alpha) = {n_dim / (2.0 - alpha):g}; got q = {q:g}"
-        )
-    split = V.lq_split
-    if split is None and hasattr(V, "lq_split_for"):
-        split = V.lq_split_for(q)
-    if split is None:
-        raise HypothesisViolationError("potential has no declared L^q + L^inf split")
-    e_sing = 1.0 - alpha / 2.0 - n_dim / (2.0 * q)
-    e_bdd = 1.0 - alpha / 2.0
-    bound = (
-        split["lq_norm"] * (4.0 * math.pi) ** (-n_dim / (2.0 * q)) * t**e_sing / e_sing
-        + split["linf_norm"] * t**e_bdd / e_bdd
-    )
-    return KatoCertificate(
-        alpha,
-        t,
-        float(bound),
-        "closed_form",
-        None,
-        0.0,
-        {"q": q, "lq_norm": split["lq_norm"], "linf_norm": split["linf_norm"]},
-    )
-
-
-# ---------------------------------------------------------------------------
-# submersions of molecular configuration paths
-# ---------------------------------------------------------------------------
-
-
-def submersion_project(points, projection, i=None, j=None, normalized=True):
-    """Project points of R^{3m} to R^3 through pi_j or the pair-difference map.
-
-    ``points`` is one path ``(n_times, 3m)`` or a batch ``(n, n_times, 3m)``;
-    the projection acts on the last axis.  ``projection`` is "pi_j"
-    (coordinate block j, an isometric submersion) or "pi_ij"
-    ((x_i - x_j)/sqrt(2); without the normalization the image has
-    per-coordinate increment variance 4h, twice Brownian)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] % 3 != 0:
-        raise InvalidPointError("submersions act on molecular configuration spaces")
-    m = pts.shape[-1] // 3
-    if projection == "pi_j":
-        if j is None or not 0 <= j < m:
-            raise InvalidPointError(f"electron index {j} out of range for m={m}")
-        return pts[..., 3 * j : 3 * j + 3].copy()
-    if projection == "pi_ij":
-        if i is None or j is None or not (0 <= i < m and 0 <= j < m and i != j):
-            raise InvalidPointError(f"pair ({i},{j}) out of range for m={m}")
-        out = pts[..., 3 * i : 3 * i + 3] - pts[..., 3 * j : 3 * j + 3]
-        return out / math.sqrt(2.0) if normalized else out
-    raise InvalidPointError(f"unknown projection {projection!r}")
-
-
 # ---------------------------------------------------------------------------
 # molecule file I/O
 # ---------------------------------------------------------------------------
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def load_molecule(source):
@@ -684,6 +563,13 @@ def load_molecule(source):
             f"unknown molecule keys {sorted(set(data) - {'m', 'nuclei'})}"
         )
     m = int(data["m"])
+    for n in data["nuclei"]:
+        if not (isinstance(n, dict) and set(n) == {"R", "Z"}
+                and isinstance(n["R"], list) and len(n["R"]) == 3
+                and all(map(_is_number, n["R"] + [n["Z"]]))):
+            raise ConfigError(
+                f'a nucleus is {{"R": [x, y, z], "Z": charge}}, got {n!r}'
+            )
     rs = [n["R"] for n in data["nuclei"]]
     zs = [n["Z"] for n in data["nuclei"]]
     return MolecularPotential(_spaces.euclidean(3 * m), m, rs, zs)

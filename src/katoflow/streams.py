@@ -4,11 +4,11 @@ Monte Carlo work is split into fixed-size chunks; chunk ``k`` of an operation
 tagged ``tag`` always draws from ``default_rng((seed, tag, k))``, so results
 are bit-identical regardless of how many workers process the chunks.
 
-Every estimator in the package is a ladder of levels (cap levels, truncation
-levels, or a single level): each chunk returns ``(n, sums, sumsqs)`` over the
-levels and ``merge_chunks`` reduces them in chunk order.  ``settle_level``
-applies the epsilon-halving rule to the successive caps of ``fk_evaluate``,
-the one estimator that picks a cap level.
+Every estimator in the package is a ladder of levels (cap levels or a single
+level): each chunk returns ``(n, sums, sumsqs)`` over the levels and
+``merge_chunks`` reduces them in chunk order.  ``settle_level`` applies the
+epsilon-halving rule to the successive caps of ``fk_evaluate``, the one
+estimator that picks a cap level.
 """
 
 from concurrent.futures import ThreadPoolExecutor

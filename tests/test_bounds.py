@@ -16,6 +16,17 @@ COULOMB = potentials.CoulombPotential(E3, charge=1.0, attractive=False)
 HYDROGEN = potentials.hydrogen(E3)
 
 
+def test_worst_pair_returns_a_nan_quotient():
+    """A pair whose values are NaN is the worst pair, not a quotient of 0."""
+    rows = [((0.0,), (1.0,), 1.0, 0.5, 0.1),
+            ((0.0,), (2.0,), 4.0, math.nan, math.nan),
+            ((0.0,), (3.0,), 1.0, 0.7, 0.1)]
+    q, se, pair = bounds._worst_pair(rows, 0.5, 1.0)
+    assert math.isnan(q) and math.isnan(se)
+    assert pair == ((0.0,), (2.0,))
+    assert bounds._worst_pair(rows[::2], 0.5, 1.0) == (0.7, 0.1, ((0.0,), (3.0,)))
+
+
 def test_f_K_values():
     assert bounds.f_K(0.0, 2.0) == pytest.approx(0.5, rel=1e-14)
     assert bounds.f_K(1.0, 1.0) == pytest.approx(

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import katoflow
 from katoflow import cli, potentials, spaces
 
 
@@ -56,6 +58,9 @@ def test_bad_config_value_exits_2(tmp_path):
     ("theorem", "K=1"),  # K is the space's Ricci lower bound
     ("kato", 't_grid=["a"]'),
     ("fk", "x=[0, null]"),
+    ("molecule", "nuclei=[1]"),
+    ("molecule", 'nuclei=[{"R":[0,0],"Z":1}]'),
+    ("molecule", 'nuclei=[{"R":[0,0,0]}]'),
 ])
 def test_mistyped_override_exits_2(tmp_path, capsys, suite, override):
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
@@ -78,6 +83,15 @@ def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, 
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
                 "--set", override]) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_rerun_into_the_same_out_rewrites_records_and_meta(tmp_path):
+    out = tmp_path / "o"
+    for _ in range(2):
+        assert run(["fk", "--seed", "1", "--set", "n_paths=500",
+                    "--out", str(out)]) == 0
+    assert len((out / "records.ndjson").read_text().splitlines()) == 1
+    assert len((out / "meta.json").read_text().splitlines()) == 1
 
 
 def _strict_json_lines(path):
@@ -247,8 +261,29 @@ def test_timestamp_confined_to_meta(tmp_path):
     assert meta["created_utc"] not in ndjson
 
 
+def _count_exported_calls(monkeypatch):
+    """{name: calls} of every function exported by katoflow/__init__.py,
+    counted by wrappers bound wherever a katoflow module holds the function."""
+    modules = [m for m in vars(katoflow).values() if inspect.ismodule(m)]
+    exported = {n: f for n, f in vars(katoflow).items() if inspect.isfunction(f)}
+    calls = dict.fromkeys(exported, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, fn in exported.items():
+        for module in modules:
+            for attr in [a for a, v in vars(module).items() if v is fn]:
+                monkeypatch.setattr(module, attr, counting(name, fn))
+    return calls
+
+
 @pytest.mark.slow
-def test_all_suites_smoke(tmp_path):
+def test_all_suites_smoke(tmp_path, monkeypatch):
+    calls = _count_exported_calls(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "couple": {"n_runs": 15000, "t_grid": [0.25, 1.0]},
@@ -274,6 +309,8 @@ def test_all_suites_smoke(tmp_path):
     assert len(headers) == 13
     assert headers == documented
     assert len(_strict_json_lines(out / "records.ndjson")) > 0
+    # every exported function serves a suite
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 @pytest.mark.parametrize("suites,config", [

@@ -158,8 +158,6 @@ def test_khashminskii_certificates():
     assert big.subdivisions > 1
     assert big.kappa_per_interval < 0.5
     assert math.isfinite(big.bound_on_C_exp)
-    paper = fk.khashminskii_certify(coul, r, c_v=3.0)
-    assert paper.paper_style_bound == pytest.approx(2.0 * math.exp(3.0 * r))
     # helium needs more splits than a 64-split cap allows; B's rule finds 113
     helium = potentials.load_molecule({"m": 2, "nuclei": [{"R": [0, 0, 0], "Z": 2.0}]})
     he = fk.khashminskii_certify(helium, 1.0)
@@ -175,64 +173,71 @@ def test_khashminskii_empirical_exp_moment():
     assert mean <= 2.0 + 3 * se
 
 
+def _truncation_ladder(v, psi, x, t, clips, n_paths, seed, grid_step=None,
+                       workers=1):
+    """Means and stderrs of e^{-tH_V}psi(x) with V clipped to each
+    ``(lo, hi)`` of ``clips``, all levels on common paths."""
+    _n, means, ses, _leaves = fk._fk_ladder(
+        v, psi, x, t, n_paths, seed, fk._grid_steps(t, grid_step), clips, workers
+    )
+    return means, ses
+
+
 def test_truncation_ladder_bounded_potential_constant():
+    """Levels that clip nothing share one action sum, so they agree exactly."""
     v = potentials.BoundedPotential(
         E1, functions.SmoothBump(0.9, 1.0), sup_norm=0.9, lower_bound=0.0
     )
-    rep = fk.truncation_ladder(
+    means, _ses = _truncation_ladder(
         v, functions.Constant(1.0), np.zeros(1), 0.4,
-        [(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)], 5_000, seed=3
+        [(-2.0, 2.0), (-4.0, 4.0), (-8.0, 8.0)], 5_000, seed=3
     )
-    assert max(rep.estimates) - min(rep.estimates) < 1e-12
-    assert rep.converged
+    assert max(means) - min(means) < 1e-12
 
 
 def test_truncation_ladder_hydrogen_monotone_in_n():
-    rep = fk.truncation_ladder(
+    means, ses = _truncation_ladder(
         HYDROGEN, PSI_H, np.array([0.7, 0, 0]), 0.4,
-        [(5.0, 5.0), (20.0, 5.0), (80.0, 5.0), (320.0, 5.0)], 30_000, seed=13
+        [(-5.0, 5.0), (-20.0, 5.0), (-80.0, 5.0), (-320.0, 5.0)], 30_000, seed=13
     )
-    assert rep.monotone_increasing_in_n
-    diffs = np.diff(rep.estimates)
-    assert np.all(diffs >= -1e-12)
-    assert rep.converged
+    assert np.all(np.diff(means) >= -1e-12)
+    assert abs(means[-1] - means[-2]) <= 3.0 * (ses[-1] + ses[-2])
     # ladder top approaches the eigen-oracle value e^{t/4} psi0(x)
     target = math.exp(0.1) * math.exp(-0.35)
-    assert abs(rep.estimates[-1] - target) <= 3 * rep.stderrs[-1] + 0.02 * target
+    assert abs(means[-1] - target) <= 3 * ses[-1] + 0.02 * target
 
 
 def test_truncation_ladder_repulsive_monotone_in_m():
     rep_pot = potentials.CoulombPotential(E3, charge=1.0, attractive=False)
-    rep = fk.truncation_ladder(
+    means, _ses = _truncation_ladder(
         rep_pot, functions.Constant(1.0), np.array([0.3, 0, 0]), 0.3,
-        [(5.0, 5.0), (5.0, 20.0), (5.0, 80.0)], 30_000, seed=17
+        [(-5.0, 5.0), (-5.0, 20.0), (-5.0, 80.0)], 30_000, seed=17
     )
-    assert rep.monotone_decreasing_in_m
-    assert np.all(np.diff(rep.estimates) <= 1e-12)
+    assert np.all(np.diff(means) <= 1e-12)
 
 
 @pytest.mark.parametrize(
     "v", [HYDROGEN, potentials.CoulombPotential(E3, charge=1.0, attractive=False)]
 )
 def test_truncation_ladder_reproduces_fk_evaluate(v):
+    """A level's estimate does not depend on the other levels of its ladder:
+    fk_evaluate's picked level alone gives fk_evaluate's value and stderr."""
     x = np.array([0.5, 0.0, 0.0])
-    kwargs = dict(grid_step=0.01)
-    est = fk.fk_evaluate(v, PSI_H, x, 0.3, 5_000, seed=21, **kwargs)
+    est = fk.fk_evaluate(v, PSI_H, x, 0.3, 5_000, seed=21, grid_step=0.01)
     cap = 1.0 / est.action_integrator["epsilon"]
     lo = -cap if v.lower_bound is None else max(-cap, v.lower_bound)
-    rep = fk.truncation_ladder(v, PSI_H, x, 0.3, [(-lo, cap)], 5_000, seed=21,
-                               **kwargs)
-    assert rep.estimates == [est.value]
-    assert rep.stderrs == [est.stderr]
+    means, ses = _truncation_ladder(v, PSI_H, x, 0.3, [(lo, cap)], 5_000, seed=21,
+                                    grid_step=0.01)
+    assert means.tolist() == [est.value]
+    assert ses.tolist() == [est.stderr]
 
 
 def test_truncation_ladder_worker_count_invariance():
     args = (HYDROGEN, PSI_H, np.array([0.7, 0, 0]), 0.3,
-            [(5.0, 5.0), (40.0, 5.0)], 9_000)
-    one = fk.truncation_ladder(*args, seed=8, workers=1)
-    eight = fk.truncation_ladder(*args, seed=8, workers=8)
-    assert one.estimates == eight.estimates
-    assert one.stderrs == eight.stderrs
+            [(-5.0, 5.0), (-40.0, 5.0)], 9_000)
+    one = _truncation_ladder(*args, seed=8, workers=1)
+    eight = _truncation_ladder(*args, seed=8, workers=8)
+    assert np.array_equal(one, eight)
 
 
 def test_duhamel_zero_and_constant():

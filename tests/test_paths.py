@@ -128,55 +128,6 @@ def test_markov_consistency_after_conditioning():
     assert res.pvalue > 1e-3
 
 
-def test_holder_modulus_constant_path():
-    times = np.array([0.0, 0.5, 1.0])
-    assert paths.holder_modulus(E1, times, np.zeros((3, 1)), 0.4) == 0.0
-    assert np.array_equal(
-        paths.holder_modulus(E1, times, np.zeros((5, 3, 1)), 0.4), np.zeros(5)
-    )
-
-
-def test_holder_modulus_requires_two_entries():
-    with pytest.raises(TimeDomainError):
-        paths.holder_modulus(E1, np.array([0.0]), np.zeros((1, 1)), 0.4)
-
-
-@pytest.mark.parametrize("grid_step", [0.01, 0.03])
-def test_holder_modulus_batch_matches_single_paths(grid_step):
-    times, pts = paths.sample_paths_batch(
-        E3, np.zeros(3), 1.0, grid_step, 6, np.random.default_rng(13)
-    )
-    batch = paths.holder_modulus(E3, times, pts, 0.4)
-    singles = [paths.holder_modulus(E3, times, p, 0.4) for p in pts]
-    assert np.array_equal(batch, singles)
-    # brute force over every grid pair
-    i, j = np.triu_indices(len(times), k=1)
-    for p, m in zip(pts, batch):
-        q = np.linalg.norm(p[j] - p[i], axis=-1) / (times[j] - times[i]) ** 0.4
-        assert m == pytest.approx(q.max(), rel=1e-12)
-
-
-def _moduli(alpha, grid_step, n_paths, seed):
-    rng = np.random.default_rng(seed)
-    times, pts = paths.sample_paths_batch(E1, np.zeros(1), 1.0, grid_step, n_paths, rng)
-    return paths.holder_modulus(E1, times, pts, alpha)
-
-
-def test_holder_modulus_stabilizes_below_half():
-    med_coarse = np.median(_moduli(0.4, 1e-2, 24, 31))
-    med_mid = np.median(_moduli(0.4, 1e-3, 24, 31))
-    med_fine = np.median(_moduli(0.4, 1e-4, 12, 31))
-    assert med_mid / med_coarse < 1.6
-    assert med_fine / med_mid < 1.35
-    assert np.all(np.isfinite(_moduli(0.4, 1e-3, 24, 32)))
-
-
-def test_holder_modulus_diverges_above_half():
-    med_coarse = np.median(_moduli(0.6, 1e-2, 12, 41))
-    med_fine = np.median(_moduli(0.6, 1e-4, 12, 41))
-    assert med_fine >= 2.0 * med_coarse
-
-
 @pytest.mark.parametrize("d", [1, 3, 6])
 @pytest.mark.parametrize("grid_step", [0.1, 0.3])  # uniform, then a short last step
 def test_euclidean_paths_match_the_broadcast_form_bit_for_bit(d, grid_step):

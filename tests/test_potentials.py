@@ -6,11 +6,7 @@ import pytest
 from scipy import integrate
 
 from katoflow import functions, paths, potentials, reports, spaces
-from katoflow.errors import (
-    HypothesisViolationError,
-    InvalidPointError,
-    TimeDomainError,
-)
+from katoflow.errors import ConfigError, InvalidPointError, TimeDomainError
 
 E1 = spaces.euclidean(1)
 E3 = spaces.euclidean(3)
@@ -24,15 +20,13 @@ def coulomb_kato_exact(alpha, t):
 
 
 def test_smoothed_coulomb_at_center():
-    x = np.zeros(3)
-    val = potentials.smoothed_coulomb(E3, 1.0, x, x)
+    val = potentials.smoothed_coulomb_dist(1.0, np.array([0.0]))[0]
     assert val == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
     assert val == pytest.approx(0.56419, abs=5e-6)
 
 
 def test_smoothed_coulomb_far_field_and_monotone():
-    c = np.zeros(3)
-    far = potentials.smoothed_coulomb(E3, 0.5, np.array([50.0, 0, 0]), c)
+    far = potentials.smoothed_coulomb_dist(0.5, np.array([50.0]))[0]
     assert far == pytest.approx(1.0 / 50.0, rel=1e-10)
     us = np.linspace(0.0, 8.0, 400)
     vals = potentials.smoothed_coulomb_dist(0.7, us)
@@ -42,8 +36,6 @@ def test_smoothed_coulomb_far_field_and_monotone():
 def test_smoothed_coulomb_oracle_quadrature():
     # independent oracle: radial quadrature of the Gaussian average of 1/r
     s = 0.45
-    x = np.array([0.8, 0.0, 0.0])
-    c = np.zeros(3)
 
     def integrand(r, costh):
         y_minus_x_sq = r * r + 0.64 - 2 * r * 0.8 * costh
@@ -56,7 +48,9 @@ def test_smoothed_coulomb_oracle_quadrature():
         )
 
     val, _ = integrate.dblquad(integrand, -1, 1, 0, 30.0)
-    assert potentials.smoothed_coulomb(E3, s, x, c) == pytest.approx(val, rel=1e-8)
+    assert potentials.smoothed_coulomb_dist(s, np.array([0.8]))[0] == pytest.approx(
+        val, rel=1e-8
+    )
 
 
 def test_molecular_value_and_singularities():
@@ -65,11 +59,9 @@ def test_molecular_value_and_singularities():
     )  # helium-like
     x = np.array([1.0, 0, 0, -1.0, 0, 0])
     # -2/1 - 2/1 + 1/2
-    assert mol.evaluate_one(x) == pytest.approx(-3.5)
-    near_nuc = np.array([1e-14, 0, 0, -1.0, 0, 0])
-    assert not np.isfinite(mol.evaluate_one(near_nuc)) or mol.evaluate_one(
-        near_nuc
-    ) < -1e10
+    assert mol(x[None])[0] == pytest.approx(-3.5)
+    near_nuc = mol(np.array([[1e-14, 0, 0, -1.0, 0, 0]]))[0]
+    assert not np.isfinite(near_nuc) or near_nuc < -1e10
     d = mol.singularity_distance(x[None, :])[0]
     assert d == pytest.approx(1.0)  # nucleus distance beats 2/sqrt(2)
 
@@ -102,7 +94,7 @@ def test_declared_singular_locus_matches_blowup():
     pts = rng.standard_normal((50, 3))
     vals = COULOMB(pts)
     assert np.all(np.isfinite(vals))
-    assert COULOMB.evaluate_one(np.array([1e-13, 0.0, 0.0])) > 1e12
+    assert COULOMB(np.array([[1e-13, 0.0, 0.0]]))[0] > 1e12
 
 
 @pytest.mark.parametrize("alpha,t,expected", [
@@ -248,75 +240,21 @@ def test_classify_oscillator_not_kato():
     assert res.is_kato is False
 
 
-def test_extend_small_time():
-    cert = potentials.kato_integral(COULOMB, 0.0, 0.5)
-    same = potentials.extend_small_time(cert, 0.5)
-    assert same.details["l"] == 1 and same.bound == cert.bound
-    ext = potentials.extend_small_time(cert, 2.0)
-    assert ext.details["l"] == 4
-    assert ext.bound == pytest.approx(4 * cert.bound)
-    assert ext.bound >= coulomb_kato_exact(0.0, 2.0)
-    # constants: l * c * t'^{1-a/2} / (1-a/2) dominates the exact value
-    c = potentials.ConstantPotential(E3, 2.0)
-    base = potentials.kato_integral(c, 0.5, 0.3)
-    ext_c = potentials.extend_small_time(base, 1.0)
-    assert ext_c.bound >= c.closed_form_kato(0.5, 1.0) - 1e-12
-
-
-def test_lq_kato_bound_hypothesis():
-    v0 = potentials.ZeroPotential(E3)
-    v0.lq_split = {"q": 2.0, "lq_norm": 0.0, "linf_norm": 0.0}
-    assert potentials.lq_kato_bound(v0, 2.0, 0.4, 1.0).bound == 0.0
-    cert = potentials.lq_kato_bound(COULOMB, 2.0, 0.4, 1.0)
-    assert math.isfinite(cert.bound) and cert.bound > 0
-    with pytest.raises(HypothesisViolationError):
-        potentials.lq_kato_bound(COULOMB, 1.5, 0.4, 1.0)
-
-
-def test_lq_bound_dominates_exact_kato():
-    # the Hoelder-chain bound must sit above the exact Coulomb integral
-    for alpha in [0.0, 0.4]:
-        for t in [0.25, 1.0]:
-            cert = potentials.lq_kato_bound(COULOMB, 2.0, alpha, t)
-            assert cert.bound >= coulomb_kato_exact(alpha, t)
-
-
 def test_submersion_projections():
+    """The electron block pi_j of a Brownian path in R^6 is Brownian in R^3,
+    and the pair map (x_i - x_j)/sqrt(2) is too: its raw increments have
+    variance 4h, twice Brownian, which is why corollary B charges each pair
+    term 1/sqrt(2)."""
     rng = np.random.default_rng(5)
     n = 20_000
     h = 0.05
     _times, pts = paths.sample_paths_batch(E6, np.zeros(6), 0.25, h, n, rng)
-    pj = potentials.submersion_project(pts, "pi_j", j=1)
-    assert pj.shape == pts.shape[:-1] + (3,)
-    assert np.array_equal(pj, pts[..., 3:6])
-    one = potentials.submersion_project(pts[0], "pi_j", j=1)
-    assert np.array_equal(one, pj[0])
-
-    # variance checks across the ensemble
     inc = np.diff(pts, axis=1)
-    pi1 = np.diff(potentials.submersion_project(pts, "pi_j", j=0), axis=1).reshape(-1, 3)
+    pi1 = inc[..., 0:3].reshape(-1, 3)
     assert np.allclose(pi1.var(axis=0), 2 * h, rtol=0.05)
-    raw = potentials.submersion_project(pts, "pi_ij", i=0, j=1, normalized=False)
-    raw_diff = np.diff(raw, axis=1).reshape(-1, 3)
-    assert np.allclose(raw_diff, (inc[:, :, 0:3] - inc[:, :, 3:6]).reshape(-1, 3))
+    raw_diff = (inc[..., 0:3] - inc[..., 3:6]).reshape(-1, 3)
     assert np.allclose(raw_diff.var(axis=0), 4 * h, rtol=0.05)  # twice Brownian
-    norm = potentials.submersion_project(pts, "pi_ij", i=0, j=1)
-    norm_diff = np.diff(norm, axis=1).reshape(-1, 3)
-    assert np.allclose(norm_diff.var(axis=0), 2 * h, rtol=0.05)
-
-
-def test_submersion_index_errors():
-    _times, pts = paths.sample_paths_batch(
-        E6, np.zeros(6), 0.5, 0.25, 1, np.random.default_rng(0)
-    )
-    with pytest.raises(InvalidPointError):
-        potentials.submersion_project(pts, "pi_j", j=5)
-    with pytest.raises(InvalidPointError):
-        potentials.submersion_project(pts[0], "pi_ij", i=0, j=0)
-    with pytest.raises(InvalidPointError):
-        potentials.submersion_project(pts[..., :4], "pi_j", j=0)
-    with pytest.raises(InvalidPointError):
-        potentials.submersion_project(pts, "pi_k", j=0)
+    assert np.allclose((raw_diff / math.sqrt(2.0)).var(axis=0), 2 * h, rtol=0.05)
 
 
 def test_molecule_json_roundtrip(tmp_path):
@@ -327,6 +265,9 @@ def test_molecule_json_roundtrip(tmp_path):
     assert mol.m == 2 and mol.l == 1 and mol.Z[0] == 2.0
     with pytest.raises(InvalidPointError):
         potentials.load_molecule({"m": 1, "nuclei": [], "extra": 1})
+    f.write_text(potentials.json.dumps({"m": 1, "nuclei": [{"R": [0, 0], "Z": 1}]}))
+    with pytest.raises(ConfigError):
+        potentials.load_molecule(str(f))
 
 
 def test_molecular_per_term_closed_form_matches_quadrature_at_center():
