@@ -2,11 +2,10 @@
 
 The estimator averages exp(-int_0^t V(w(s)) ds) * Psi(w(t)) over Brownian
 paths.  The action integral is a trapezoid on the path skeleton with
-adaptive Brownian-bridge refinement near singularity approaches, and V is
-clipped to the caps 2^k/eps0 (eps0 = 0.05, k = 0..6), of which the
-epsilon-halving rule picks one (stop once the estimate moves by less than
-half a standard error).  fk_evaluate is the one estimator that picks a cap level;
-the Kato Monte Carlo route averages its raw weights.
+adaptive Brownian-bridge refinement near singularity approaches.  For a
+Kato-class V, 2|V| is Kato too, so the weights have a finite second moment
+(Khashminskii; Aizenman & Simon 1982) and their plain mean is CLT-valid: V is
+never clipped.
 """
 
 import math
@@ -26,9 +25,7 @@ from .errors import (
     UnsupportedRefinementError,
 )
 
-_EPS0 = 0.05  # first cap level 1/_EPS0
-_CAP_LEVELS = 7
-_MAX_SUBDIVISIONS = 255  # Khashminskii splits of [0, r] tried before giving up
+_MAX_SUBDIVISIONS = 2**20  # Khashminskii splits of [0, r] tried before giving up
 _NEAR_FACTOR = 4.0  # refine when dist(endpoint, singularity) < 4*sqrt(2*delta)
 _TOL = 5e-5  # refine an interval while its midpoint moves the trapezoid by more
 _MAX_DEPTH = 16  # bridge refinement levels below the path grid
@@ -56,7 +53,6 @@ class SemigroupEstimate:
             "value": self.value,
             "stderr": self.stderr,
             "n_paths": self.n_paths,
-            "epsilon": self.action_integrator.get("epsilon"),
             "grid_step": self.action_integrator.get("grid_step"),
             "seed": seed,
             "flags": list(self.flags),
@@ -154,59 +150,22 @@ def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
         dl, dr = np.concatenate((dl[nl], dm[nr])), np.concatenate((dm[nl], dr[nr]))
 
     if pid.size:
-        leaves.append((pid, delta, vl, vr))
+        # Only an interval kept to max_depth can end on V's singular set (a
+        # path that starts on a nucleus, two electrons on one nucleus), where
+        # V is inf or NaN; such an endpoint counts as 0 here.  The action
+        # moves by at most the alpha=0 Kato bound over one leaf of length
+        # h*2^-max_depth: 3.1e-4 for hydrogen at t = 0.5.
+        leaves.append((pid, delta, np.where(np.isfinite(vl), vl, 0.0),
+                       np.where(np.isfinite(vr), vr, 0.0)))
     return ends, leaves
 
 
-def _actions_from_leaves(leaves, size, clips):
-    """Trapezoid actions per clip level ``(lo, hi)``, V clipped to [lo, hi]
-    and summed per path: one row per level.
-
-    A block whose values all lie inside a level's clip adds its unclipped
-    per-path sums, which are computed once and shared by those levels."""
-    actions = np.zeros((len(clips), size))
+def _actions_from_leaves(leaves, size):
+    """Trapezoid action of each path: its leaves' trapezoids summed per path."""
+    action = np.zeros(size)
     for pid, delta, vl, vr in leaves:
-        if pid.size == 0:
-            continue
-        # np.minimum/np.maximum propagate NaN, which fails every comparison
-        vmin = np.minimum(vl.min(), vr.min())
-        vmax = np.maximum(vl.max(), vr.max())
-        plain = None
-        for action, (lo, hi) in zip(actions, clips):
-            if lo <= vmin and vmax <= hi:
-                if plain is None:
-                    plain = np.bincount(pid, weights=delta * (vl + vr) / 2.0,
-                                        minlength=size)
-                action += plain
-            else:
-                contrib = delta * (np.clip(vl, lo, hi) + np.clip(vr, lo, hi)) / 2.0
-                action += np.bincount(pid, weights=contrib, minlength=size)
-    return actions
-
-
-def _fk_ladder(V, psi, x, t, n_paths, seed, n_steps, clips, workers):
-    """(n, means, stderrs, n_leaves) of exp(-action) * psi(end) per clip level.
-
-    Every ``(lo, hi)`` in ``clips`` clips V on the same paths and leaves
-    (common random numbers); the chunks draw from the ``TAG_FK`` streams."""
-    space = V.space
-
-    def chunk(rng, size, _k):
-        ends, leaves = _chunk_leaves(
-            space, V, x, t, size, rng, n_steps, _TOL, _MAX_DEPTH
-        )
-        pvals = np.asarray(psi(ends), dtype=float)
-        sums = np.empty(len(clips))
-        sqs = np.empty(len(clips))
-        for i, action in enumerate(_actions_from_leaves(leaves, size, clips)):
-            w = np.exp(-action) * pvals
-            sums[i] = w.sum()
-            sqs[i] = (w * w).sum()
-        return size, sums, sqs, sum(p[0].size for p in leaves)
-
-    parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
-    n, means, stderrs = streams.merge_chunks(p[:3] for p in parts)
-    return n, means, stderrs, sum(p[3] for p in parts)
+        action += np.bincount(pid, weights=delta * (vl + vr) / 2.0, minlength=size)
+    return action
 
 
 def _grid_steps(t, grid_step):
@@ -260,16 +219,18 @@ def fk_evaluate(
     n_steps = _grid_steps(t, grid_step)
     grid_step = t / n_steps
 
-    caps = (1.0 / _EPS0) * 2.0 ** np.arange(_CAP_LEVELS)
-    lo_bound = V.lower_bound  # finite => negative clipping is inert
-    clips = [(-cap if lo_bound is None else max(-cap, lo_bound), cap) for cap in caps]
-    n, means, ses, n_leaves = _fk_ladder(
-        V, psi, x, t, n_paths, seed, n_steps, clips, workers
-    )
-    k_star, settled = streams.settle_level(means, ses)
-    value = float(means[k_star])
-    stderr = float(ses[k_star])
-    flags = [] if settled else ["cap_ladder_not_converged"]
+    def chunk(rng, size, _k):
+        ends, leaves = _chunk_leaves(
+            space, V, x, t, size, rng, n_steps, _TOL, _MAX_DEPTH
+        )
+        w = np.exp(-_actions_from_leaves(leaves, size))
+        w *= np.asarray(psi(ends), dtype=float)
+        return size, w.sum(), (w * w).sum(), sum(p[0].size for p in leaves)
+
+    parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
+    n, value, stderr = streams.merge_chunks(p[:3] for p in parts)
+    value, stderr = float(value), float(stderr)
+    flags = []
     sup_psi = getattr(psi, "sup_norm", None)
     if check_bound and sup_psi is not None:
         c_exp = None
@@ -294,10 +255,9 @@ def fk_evaluate(
         n,
         {
             "grid_step": grid_step,
-            "epsilon": float(1.0 / caps[k_star]),
             "refinement": {"tol": _TOL, "max_depth": _MAX_DEPTH,
                            "near_factor": _NEAR_FACTOR},
-            "n_leaves": int(n_leaves),
+            "n_leaves": int(sum(p[3] for p in parts)),
         },
         seed if isinstance(seed, int) else tuple(seed),
         flags,
@@ -315,17 +275,29 @@ def khashminskii_bound(kappa_at, r):
 
     kappa = kappa_at(r) < 1 gives 1/(1-kappa).  Otherwise [0, r] is split into
     the fewest k <= _MAX_SUBDIVISIONS intervals with kappa_k = kappa_at(r/k)
-    < 1/2, and the Markov property gives (1/(1-kappa_k))^k."""
+    < 1/2, and the Markov property gives (1/(1-kappa_k))^k.  kappa_at is
+    nondecreasing in s, so doubling and then bisection find that k."""
     kappa = kappa_at(r)
     if kappa < 1.0:
         return 1.0 / (1.0 - kappa), 1, kappa
-    for k in range(2, _MAX_SUBDIVISIONS + 1):
-        kap_k = kappa_at(r / k)
-        if kap_k < 0.5:
-            return (1.0 / (1.0 - kap_k)) ** k, k, kap_k
-    raise DivergentBoundError(
-        f"could not reach per-interval kappa < 1/2 within {_MAX_SUBDIVISIONS} splits"
-    )
+    lo, hi = 1, 2  # kappa_at(r/lo) >= 1/2 throughout; kap_k = kappa_at(r/hi)
+    while (kap_k := kappa_at(r / hi)) >= 0.5:
+        if hi >= _MAX_SUBDIVISIONS:
+            raise DivergentBoundError(
+                f"could not reach per-interval kappa < 1/2 within {hi} splits"
+            )
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        kap_mid = kappa_at(r / mid)
+        if kap_mid < 0.5:
+            hi, kap_k = mid, kap_mid
+        else:
+            lo = mid
+    try:
+        return (1.0 / (1.0 - kap_k)) ** hi, hi, kap_k
+    except OverflowError:
+        raise DivergentBoundError(f"(1/(1-kappa_k))^{hi} overflows") from None
 
 
 def khashminskii_certify(V, r, kato0=None):

@@ -4,11 +4,9 @@ Monte Carlo work is split into fixed-size chunks; chunk ``k`` of an operation
 tagged ``tag`` always draws from ``default_rng((seed, tag, k))``, so results
 are bit-identical regardless of how many workers process the chunks.
 
-Every estimator in the package is a ladder of levels (cap levels or a single
-level): each chunk returns ``(n, sums, sumsqs)`` over the levels and
-``merge_chunks`` reduces them in chunk order.  ``settle_level`` applies the
-epsilon-halving rule to the successive caps of ``fk_evaluate``, the one
-estimator that picks a cap level.
+Every Monte Carlo mean in the package (Feynman-Kac, Kato, moments) is the
+plain mean of its raw weights: each chunk returns ``(n, sum, sumsq)`` and
+``merge_chunks`` reduces them in chunk order.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -86,8 +84,8 @@ def map_ordered(fn, items, workers=1):
 def merge_chunks(parts):
     """(n, means, stderrs) from per-chunk ``(n, sums, sumsqs)``, added in chunk order.
 
-    ``sums`` and ``sumsqs`` hold one entry per level (arrays or scalars);
-    the sequential order keeps the result independent of the worker count."""
+    ``sums`` and ``sumsqs`` are scalars or arrays of one shape; the sequential
+    order keeps the result independent of the worker count."""
     n, sums, sqs = 0, 0.0, 0.0
     for size, s, q in parts:
         n += size
@@ -96,15 +94,3 @@ def merge_chunks(parts):
     means = sums / n
     stderrs = np.sqrt(np.maximum(sqs / n - means * means, 0.0) / n)
     return n, means, stderrs
-
-
-def settle_level(means, stderrs):
-    """(k, settled) under the epsilon-halving rule.
-
-    ``k`` is the first level whose mean moved from the previous level's by at
-    most half its own finite stderr; when no level settles, ``k`` is the last
-    level and ``settled`` is False."""
-    for k in range(1, len(means)):
-        if np.isfinite(stderrs[k]) and abs(means[k] - means[k - 1]) <= 0.5 * stderrs[k]:
-            return k, True
-    return len(means) - 1, False

@@ -247,6 +247,16 @@ def test_corollary_B_helium_toy_finite():
     )
 
 
+def test_corollary_B_lithium_needs_more_than_255_splits():
+    """m = 3 electrons on a Z = 3 nucleus, as suite_molecule builds its terms:
+    the summed alpha=0 Kato bound needs 630 Khashminskii splits at t = 1."""
+    nuc = potentials.CoulombPotential(E3, charge=3.0, attractive=True)
+    rep = potentials.CoulombPotential(E3, charge=1.0 / math.sqrt(2.0),
+                                      attractive=False)
+    b = bounds.corollary_B_constant([nuc] * 3, [rep] * 3, 0.0, 0.5, 1.0)
+    assert math.isfinite(b) and b > 0
+
+
 def test_molecular_bound_shape():
     with pytest.raises(TimeDomainError):
         bounds.molecular_bound(1, 1, None, None, math.inf, 1.0, 1.0, 1.0, 0.0)

@@ -161,7 +161,7 @@ def test_fk_zero_potential_exit_zero(tmp_path):
     out = tmp_path / "o"
     assert run(["fk", "--seed", "3", "--out", str(out)]) == 0
     rows = (out / "fk_results.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("x,t,value,stderr,n_paths,epsilon,grid_step,seed")
+    assert rows[0].startswith("x,t,value,stderr,n_paths,grid_step,seed")
     assert ",1.0," in rows[1] and rows[1].endswith("holds")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from katoflow import feynman_kac as fk
 from katoflow import functions, paths, potentials, spaces, streams
-from katoflow.errors import NonKatoError, TimeDomainError
+from katoflow.errors import DivergentBoundError, NonKatoError, TimeDomainError
 
 E1 = spaces.euclidean(1)
 E3 = spaces.euclidean(3)
@@ -76,6 +76,30 @@ def test_fk_determinism_and_positivity():
     b = fk.fk_evaluate(HYDROGEN, PSI_H, np.array([1.0, 0, 0]), 0.3, 20_000, seed=5)
     assert a.value == b.value and a.stderr == b.stderr
     assert a.value >= 0.0  # psi >= 0 forces a nonnegative estimate
+
+
+def test_fk_is_unbiased_at_the_nucleus():
+    """The singular start x = 0, where every path begins at V = -inf, against
+    the exact e^{-tH_V}psi_0(0) = e^{t/4}: 200 seeds of 1 000 paths, mean
+    z-score within 3/sqrt(200).  A cap on V biases this low (z mean -0.47)."""
+    t = 0.5
+    exact = math.exp(t / 4.0)
+    z = [
+        (est.value - exact) / est.stderr
+        for est in (
+            fk.fk_evaluate(HYDROGEN, PSI_H, np.zeros(3), t, 1_000, seed=seed)
+            for seed in range(200)
+        )
+    ]
+    assert abs(np.mean(z)) <= 3.0 / math.sqrt(200)
+
+
+def test_fk_singular_start_gives_a_number():
+    """Two electrons on one nucleus: V(x) = -inf + inf = NaN at the start."""
+    helium = potentials.load_molecule({"m": 2, "nuclei": [{"R": [0, 0, 0], "Z": 2}]})
+    est = fk.fk_evaluate(helium, functions.Constant(1.0), np.zeros(6), 0.5, 200, seed=1)
+    assert math.isfinite(est.value) and math.isfinite(est.stderr)
+    assert est.value > 1.0 and est.flags == []
 
 
 def test_fk_worker_count_invariance():
@@ -164,6 +188,38 @@ def test_khashminskii_certificates():
     assert he.subdivisions == 113 and he.kappa_per_interval < 0.5
 
 
+def _linear_khashminskii_bound(kappa_at, r):
+    """khashminskii_bound's rule as a scan over k = 2, 3, ... with no cap."""
+    k = 2
+    while kappa_at(r / k) >= 0.5:
+        k += 1
+    kap_k = kappa_at(r / k)
+    return (1.0 / (1.0 - kap_k)) ** k, k, kap_k
+
+
+@pytest.mark.parametrize("c", [3.1, 12.55, 15.1])
+def test_khashminskii_bound_finds_the_fewest_splits_past_255(c):
+    """kappa_at(s) = c*sqrt(s) needs k > (2c)^2 splits: 39, 631 and 913."""
+    calls = []
+
+    def kappa_at(s):
+        calls.append(s)
+        return c * math.sqrt(s)
+
+    got = fk.khashminskii_bound(kappa_at, 1.0)
+    assert len(calls) <= 2 * math.log2(got[1]) + 2
+    assert got == _linear_khashminskii_bound(kappa_at, 1.0)
+    assert got[1] == math.floor(4.0 * c * c) + 1
+
+
+def test_khashminskii_bound_overflow_is_divergent():
+    # k = 2^20 splits at kappa_k just below 1/2: 2^(2^20) overflows a float
+    with pytest.raises(DivergentBoundError):
+        fk.khashminskii_bound(lambda s: 0.49 * math.sqrt(s * 2**20), 1.0)
+    with pytest.raises(DivergentBoundError):
+        fk.khashminskii_bound(lambda s: 1.0, 1.0)
+
+
 def test_khashminskii_empirical_exp_moment():
     r = math.pi / 16
     coul = potentials.CoulombPotential(E3)
@@ -171,73 +227,6 @@ def test_khashminskii_empirical_exp_moment():
         coul, np.zeros(3), r, 60_000, seed=9, grid_step=r / 100
     )
     assert mean <= 2.0 + 3 * se
-
-
-def _truncation_ladder(v, psi, x, t, clips, n_paths, seed, grid_step=None,
-                       workers=1):
-    """Means and stderrs of e^{-tH_V}psi(x) with V clipped to each
-    ``(lo, hi)`` of ``clips``, all levels on common paths."""
-    _n, means, ses, _leaves = fk._fk_ladder(
-        v, psi, x, t, n_paths, seed, fk._grid_steps(t, grid_step), clips, workers
-    )
-    return means, ses
-
-
-def test_truncation_ladder_bounded_potential_constant():
-    """Levels that clip nothing share one action sum, so they agree exactly."""
-    v = potentials.BoundedPotential(
-        E1, functions.SmoothBump(0.9, 1.0), sup_norm=0.9, lower_bound=0.0
-    )
-    means, _ses = _truncation_ladder(
-        v, functions.Constant(1.0), np.zeros(1), 0.4,
-        [(-2.0, 2.0), (-4.0, 4.0), (-8.0, 8.0)], 5_000, seed=3
-    )
-    assert max(means) - min(means) < 1e-12
-
-
-def test_truncation_ladder_hydrogen_monotone_in_n():
-    means, ses = _truncation_ladder(
-        HYDROGEN, PSI_H, np.array([0.7, 0, 0]), 0.4,
-        [(-5.0, 5.0), (-20.0, 5.0), (-80.0, 5.0), (-320.0, 5.0)], 30_000, seed=13
-    )
-    assert np.all(np.diff(means) >= -1e-12)
-    assert abs(means[-1] - means[-2]) <= 3.0 * (ses[-1] + ses[-2])
-    # ladder top approaches the eigen-oracle value e^{t/4} psi0(x)
-    target = math.exp(0.1) * math.exp(-0.35)
-    assert abs(means[-1] - target) <= 3 * ses[-1] + 0.02 * target
-
-
-def test_truncation_ladder_repulsive_monotone_in_m():
-    rep_pot = potentials.CoulombPotential(E3, charge=1.0, attractive=False)
-    means, _ses = _truncation_ladder(
-        rep_pot, functions.Constant(1.0), np.array([0.3, 0, 0]), 0.3,
-        [(-5.0, 5.0), (-5.0, 20.0), (-5.0, 80.0)], 30_000, seed=17
-    )
-    assert np.all(np.diff(means) <= 1e-12)
-
-
-@pytest.mark.parametrize(
-    "v", [HYDROGEN, potentials.CoulombPotential(E3, charge=1.0, attractive=False)]
-)
-def test_truncation_ladder_reproduces_fk_evaluate(v):
-    """A level's estimate does not depend on the other levels of its ladder:
-    fk_evaluate's picked level alone gives fk_evaluate's value and stderr."""
-    x = np.array([0.5, 0.0, 0.0])
-    est = fk.fk_evaluate(v, PSI_H, x, 0.3, 5_000, seed=21, grid_step=0.01)
-    cap = 1.0 / est.action_integrator["epsilon"]
-    lo = -cap if v.lower_bound is None else max(-cap, v.lower_bound)
-    means, ses = _truncation_ladder(v, PSI_H, x, 0.3, [(lo, cap)], 5_000, seed=21,
-                                    grid_step=0.01)
-    assert means.tolist() == [est.value]
-    assert ses.tolist() == [est.stderr]
-
-
-def test_truncation_ladder_worker_count_invariance():
-    args = (HYDROGEN, PSI_H, np.array([0.7, 0, 0]), 0.3,
-            [(-5.0, 5.0), (-40.0, 5.0)], 9_000)
-    one = _truncation_ladder(*args, seed=8, workers=1)
-    eight = _truncation_ladder(*args, seed=8, workers=8)
-    assert np.array_equal(one, eight)
 
 
 def test_duhamel_zero_and_constant():
@@ -355,6 +344,8 @@ def test_chunk_leaves_tile_each_path(x):
     np.testing.assert_allclose(
         np.bincount(pid, weights=delta, minlength=size), t, rtol=0, atol=1e-12
     )
+    for block in leaves:  # a start on the nucleus leaves no -inf in a leaf
+        assert np.isfinite(block[2]).all() and np.isfinite(block[3]).all()
     n_far = leaves[0][0].size
     if x[0] == 1.0:
         assert n_far > pid.size / 2  # away from the nucleus: mostly unrefined
@@ -401,8 +392,9 @@ def _reference_chunk_leaves(V, x, t, size, rng, n_steps, tol, max_depth):
         near = np.minimum(kids[5], kids[6]) < fk._NEAR_FACTOR * math.sqrt(2.0 * delta)
         leaves.append((kids[0][~near], delta, kids[3][~near], kids[4][~near]))
         pid, xl, xr, vl, vr, dl, dr = (a[near] for a in kids)
-    if pid.size:
-        leaves.append((pid, delta, vl, vr))
+    if pid.size:  # the last block alone may end on the singular set
+        leaves.append((pid, delta, np.nan_to_num(vl, nan=0.0, posinf=0.0, neginf=0.0),
+                       np.nan_to_num(vr, nan=0.0, posinf=0.0, neginf=0.0)))
     return leaves
 
 
@@ -422,25 +414,3 @@ def test_chunk_leaves_match_the_plain_refinement(x):
         assert got[1] == want[1]
         for a, b in zip((got[0], got[2], got[3]), (want[0], want[2], want[3])):
             np.testing.assert_array_equal(a, b)
-
-
-def test_actions_share_unclipped_sums_bit_for_bit():
-    """Every clip level's actions equal clipping that level on its own,
-    including blocks that hold -inf or NaN."""
-    _ends, leaves = fk._chunk_leaves(
-        E3, HYDROGEN, np.zeros(3), 0.5, 256,
-        streams.substream(7, streams.TAG_FK, 0), 100, 5e-5, 16,
-    )
-    leaves.append((np.array([0, 1]), 1e-3, np.array([-np.inf, 1.0]), np.array([2.0, 3.0])))
-    # a NaN must not hide the out-of-clip -1e3 beside it
-    leaves.append((np.array([2, 3]), 1e-3, np.array([np.nan, -1e3]), np.array([2.0, 3.0])))
-    clips = [(-cap, cap) for cap in 20.0 * 2.0 ** np.arange(7)]
-    actions = fk._actions_from_leaves(leaves, 256, clips)
-    assert actions.shape == (len(clips), 256)
-    for action, (lo, hi) in zip(actions, clips):
-        want = np.zeros(256)
-        for pid, delta, vl, vr in leaves:
-            contrib = delta * (np.clip(vl, lo, hi) + np.clip(vr, lo, hi)) / 2.0
-            want += np.bincount(pid, weights=contrib, minlength=256)
-        np.testing.assert_array_equal(action, want)
-    assert np.isnan(actions[:, 2]).all() and np.isfinite(actions[:, [0, 3]]).all()

@@ -34,19 +34,6 @@ def test_merge_matches_one_pass_moments(levels):
     )
 
 
-def test_settle_level_takes_first_settled_level():
-    means = [1.0, 1.3, 1.31, 1.311]
-    assert streams.settle_level(means, [0.1] * 4) == (2, True)
-
-
-def test_settle_level_skips_infinite_stderr():
-    assert streams.settle_level([1.0, 1.0, 1.0], [0.1, math.inf, 0.1]) == (2, True)
-
-
-def test_settle_level_reports_unsettled_last_level():
-    assert streams.settle_level([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]) == (2, False)
-
-
 def test_map_ordered_keeps_item_order_when_later_items_finish_first():
     second_done = threading.Event()
     finished = []
