@@ -16,10 +16,23 @@ from scipy import integrate, optimize
 from . import feynman_kac as fk
 from . import streams
 from . import potentials as pot
+from .spaces import Euclidean
 from .errors import DivergentBoundError, TimeDomainError
 from .reports import HOLDS, BoundReport, one_sided_verdict
 
 _QUAD_TOL = 1e-9  # slack for deterministic quadrature comparisons
+
+
+def _over_expm1(num, x):
+    """num / (e^x - 1) as (r, s), the value being r e^{-s}: (num / expm1(x),
+    0) where expm1 is finite, else (num, x), since there e^x - 1 equals e^x
+    to double precision.  A caller takes its power of r before applying
+    e^{-s}, so the factor does not underflow on the way."""
+    try:
+        den = math.expm1(x)
+    except OverflowError:
+        return num, x
+    return num / den, 0.0
 
 
 def f_K(K, t):
@@ -28,7 +41,8 @@ def f_K(K, t):
         raise TimeDomainError("f_K requires t > 0")
     if K == 0.0:
         return 1.0 / math.sqrt(2.0 * t)
-    return math.sqrt(K / math.expm1(2.0 * K * t))
+    ratio, scale = _over_expm1(K, 2.0 * K * t)
+    return math.sqrt(ratio) * math.exp(-scale / 2.0)
 
 
 def holder_cap(K, t, alpha):
@@ -142,7 +156,7 @@ def _semigroup_values(space, t, f, pairs):
 
     P_t f is evaluated once per distinct point key: the coordinate on
     euclidean(1), the polar angle of a zonal f on S^2."""
-    if space.kind == "euclidean":
+    if isinstance(space, Euclidean):
         if space.dimension != 1:
             raise TimeDomainError("quadrature quotients support euclidean(1)")
 
@@ -206,7 +220,7 @@ def holder_quotient(space, t, alpha, f, pairs=None):
     if pairs is None:
         pairs = (
             pair_grid_euclidean(space, scale=max(1.0, 4 * math.sqrt(t)))
-            if space.kind == "euclidean"
+            if isinstance(space, Euclidean)
             else pair_grid_sphere(space)
         )
     values = _semigroup_values(space, t, f, pairs)
@@ -235,12 +249,10 @@ def _fk_weight(K, alpha):
     """F_K(s)^alpha = (2s)^{-alpha/2} * w(s) with smooth w, w(0) = 2^{-alpha/2}."""
 
     def w(s):
-        if s <= 0:
+        if s <= 0 or K == 0.0:
             return 2.0 ** (-alpha / 2.0)
-        if K == 0.0:
-            return 2.0 ** (-alpha / 2.0)
-        g = 2.0 * s * K / math.expm1(2.0 * K * s)
-        return 2.0 ** (-alpha / 2.0) * g ** (alpha / 2.0)
+        g, scale = _over_expm1(2.0 * s * K, 2.0 * K * s)
+        return 2.0 ** (-alpha / 2.0) * g ** (alpha / 2.0) * math.exp(-scale * alpha / 2.0)
 
     return w
 
@@ -465,13 +477,6 @@ def calibrate_molecular_constants(measurements, alpha, m, r_exponent):
         q / _molecular_shape(t, m, r_exponent, alpha, c_rz) for t, q in measurements
     )
     return c_mz, c_rz
-
-
-def fit_blowup_exponent(alphas, values):
-    """Slope of log(value) against log(1 - alpha)."""
-    alphas = np.asarray(alphas, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return float(np.polyfit(np.log(1.0 - alphas), np.log(values), 1)[0])
 
 
 def measured_holder_quotient_mc(V, phi, alpha, t, pairs, n_paths, seed, workers=1):

@@ -25,62 +25,69 @@ from .errors import ConfigError, KatoflowError, TooSmallTimeError
 from .reports import HOLDS, BoundReport, jsonable, one_sided_verdict, two_sided_verdict
 
 
+def _molecule_from(file, m, nuclei):
+    if file:
+        return pot.load_molecule(file)
+    if m is None or nuclei is None:
+        raise ConfigError("a molecule needs a file, or m and nuclei")
+    return pot.load_molecule({"m": m, "nuclei": nuclei})
+
+
+def _bump(amplitude, width):
+    bump = functions.SmoothBump(amplitude, width)
+    return pot.BoundedPotential(spaces.euclidean(1), bump, bump.sup_norm,
+                                min(bump.amplitude, 0.0), "bump")
+
+
+# a spec is {tag: name, field: value, ...}: each name maps to its builder and
+# the schema of the builder's keyword fields, read as in SUITES; a default of
+# None that the type does not admit marks a field the spec must give
+_SPACES = {
+    "euclidean": (spaces.euclidean, {"d": (1, int)}),
+    "sphere2": (spaces.sphere2, {"radius": (1.0, float)}),
+}
+_POTENTIALS = {
+    "zero": (lambda dim: pot.ZeroPotential(spaces.euclidean(dim)), {"dim": (1, int)}),
+    "constant": (lambda dim, c: pot.ConstantPotential(spaces.euclidean(dim), c),
+                 {"dim": (1, int), "c": (None, float)}),
+    "coulomb": (pot.CoulombPotential, {"center": ([0.0, 0.0, 0.0], list),
+                                       "charge": (1.0, float),
+                                       "attractive": (True, bool)}),
+    "hydrogen": (pot.hydrogen, {}),
+    "oscillator": (pot.OscillatorPotential, {}),
+    "bump": (_bump, {"amplitude": (1.0, float), "width": (1.0, float)}),
+    "molecular": (_molecule_from, {"file": (None, (str, type(None))),
+                                   "m": (None, (int, type(None))),
+                                   "nuclei": (None, (list, type(None)))}),
+}
+_PSIS = {
+    "ones": (lambda: functions.Constant(1.0), {}),
+    "hydrogen_ground": (functions.HydrogenGround, {}),
+    "oscillator_ground": (functions.OscillatorGround, {}),
+    "sign": (functions.Sign, {"threshold": (0.0, float)}),
+    "ball": (functions.BallIndicator, {"center": ([0.0], list), "radius": (None, float)}),
+}
+
+
+def _build(what, tag, table, spec):
+    fields = dict(spec)
+    name = fields.pop(tag, None)
+    if name not in table:
+        raise ConfigError(f"{what}.{tag} must be {'|'.join(table)}, got {name!r}")
+    make, schema = table[name]
+    return make(**_fields(what, schema, fields))
+
+
 def _space_from(spec):
-    if spec.get("kind") == "euclidean":
-        return spaces.euclidean(int(spec.get("d", 1)))
-    if spec.get("kind") == "sphere2":
-        return spaces.sphere2(float(spec.get("radius", 1.0)))
-    raise ConfigError(f"space.kind must be euclidean|sphere2, got {spec.get('kind')!r}")
+    return _build("space", "kind", _SPACES, spec)
 
 
 def _potential_from(spec):
-    kind = spec.get("type")
-    if kind == "zero":
-        return pot.ZeroPotential(spaces.euclidean(int(spec.get("dim", 1))))
-    if kind == "constant":
-        return pot.ConstantPotential(
-            spaces.euclidean(int(spec.get("dim", 1))), float(spec["c"])
-        )
-    if kind == "coulomb":
-        return pot.CoulombPotential(
-            spaces.euclidean(3),
-            spec.get("center", (0.0, 0.0, 0.0)),
-            float(spec.get("charge", 1.0)),
-            bool(spec.get("attractive", True)),
-        )
-    if kind == "hydrogen":
-        return pot.hydrogen()
-    if kind == "oscillator":
-        return pot.OscillatorPotential(spaces.euclidean(1))
-    if kind == "bump":
-        amp = float(spec.get("amplitude", 1.0))
-        return pot.BoundedPotential(
-            spaces.euclidean(1),
-            functions.SmoothBump(amp, float(spec.get("width", 1.0))),
-            sup_norm=abs(amp),
-            lower_bound=min(amp, 0.0),
-            name="bump",
-        )
-    if kind == "molecular":
-        if "file" in spec:
-            return pot.load_molecule(spec["file"])
-        return pot.load_molecule({"m": spec["m"], "nuclei": spec["nuclei"]})
-    raise ConfigError(f"unknown potential type {kind!r}")
+    return _build("potential", "type", _POTENTIALS, spec)
 
 
 def _psi_from(spec):
-    kind = spec.get("type")
-    if kind == "ones":
-        return functions.Constant(1.0)
-    if kind == "hydrogen_ground":
-        return functions.HydrogenGround()
-    if kind == "oscillator_ground":
-        return functions.OscillatorGround()
-    if kind == "sign":
-        return functions.Sign(float(spec.get("threshold", 0.0)))
-    if kind == "ball":
-        return functions.BallIndicator(spec.get("center", (0.0,)), float(spec["radius"]))
-    raise ConfigError(f"unknown psi type {kind!r}")
+    return _build("psi", "type", _PSIS, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +461,7 @@ def suite_duhamel(p, seed, workers):
 
 def suite_holder(p, seed, workers):
     sp = _space_from(p["space"])
-    f = functions.Sign() if sp.kind == "euclidean" else functions.HemisphereIndicator()
+    f = functions.Sign() if isinstance(sp, spaces.Euclidean) else functions.HemisphereIndicator()
     rows = []
     reports = []
     for t in p["t_grid"]:
@@ -530,10 +537,7 @@ def suite_theorem(p, seed, workers):
 
 
 def suite_molecule(p, seed, workers):
-    if "file" in p and p["file"]:
-        mol = pot.load_molecule(p["file"])
-    else:
-        mol = pot.load_molecule({"m": p["m"], "nuclei": p["nuclei"]})
+    mol = _molecule_from(p["file"], p["m"], p["nuclei"])
     t = p["t"]
     rows = []
     reports = []
@@ -565,13 +569,13 @@ def suite_molecule(p, seed, workers):
         )
     # corollary B from base-space terms
     vj = [
-        pot.CoulombPotential(spaces.euclidean(3), (0, 0, 0), float(np.sum(mol.Z)))
+        pot.CoulombPotential((0, 0, 0), float(np.sum(mol.Z)))
         for _ in range(mol.m)
     ]
     n_pairs = mol.m * (mol.m - 1) // 2
     vij = [
         pot.CoulombPotential(
-            spaces.euclidean(3), (0, 0, 0), 1.0 / math.sqrt(2.0), attractive=False
+            (0, 0, 0), 1.0 / math.sqrt(2.0), attractive=False
         )
         for _ in range(n_pairs)
     ]
@@ -589,7 +593,7 @@ def suite_molecule(p, seed, workers):
     # blow-up of the C-constant as alpha -> 1
     alphas = np.linspace(0.8, 0.98, 10)
     vals = [mol.per_term_kato_closed_form(a, t) * 2.0 ** (-a / 2) for a in alphas]
-    slope = bounds.fit_blowup_exponent(alphas, vals)
+    slope = pot.fit_blowup_exponent(alphas, vals)
     rows.append(
         {
             "stage": "blowup_slope",
@@ -743,45 +747,55 @@ SUITES = {
 # ---------------------------------------------------------------------------
 
 
-_TYPE_NAMES = {list: "a list", dict: "an object", int: "a number",
+_TYPE_NAMES = {list: "a list", dict: "an object", int: "an integer",
                float: "a number", bool: "true or false", str: "a string",
                type(None): "null"}
 
 
 def _accepts(expected, value):
-    """Whether a JSON value fits a schema type; true/false is never a number."""
+    """Whether a JSON value fits a schema type; true/false is never a number,
+    and an int is a number with an integer value."""
     if isinstance(expected, tuple):
         return any(_accepts(e, value) for e in expected)
-    if expected in (int, float):
+    if expected is int:
+        return pot._is_number(value) and (isinstance(value, int) or value.is_integer())
+    if expected is float:
         return pot._is_number(value)
     return isinstance(value, expected)
 
 
-def _validate(suite, supplied):
-    _fn, schema = SUITES[suite]
+def _fields(where, schema, supplied):
+    """The supplied values over the schema's defaults, each checked against
+    its (default, type) entry."""
     params = {}
     for key, value in supplied.items():
         if key not in schema:
-            raise ConfigError(f"unknown key {suite}.{key}")
+            raise ConfigError(f"unknown key {where}.{key}")
         default, expected = schema[key]
         if not _accepts(expected, value):
             names = expected if isinstance(expected, tuple) else (expected,)
             raise ConfigError(
-                f"{suite}.{key} must be "
+                f"{where}.{key} must be "
                 + " or ".join(_TYPE_NAMES[e] for e in names)
             )
         if value == []:
-            raise ConfigError(f"{suite}.{key} must not be empty")
+            raise ConfigError(f"{where}.{key} must not be empty")
         # a list whose default holds numbers must hold numbers
-        if (expected is list and all(_accepts(float, v) for v in default)
+        if (isinstance(default, list) and all(_accepts(float, v) for v in default)
                 and not all(_accepts(float, v) for v in value)):
-            raise ConfigError(f"{suite}.{key} must be a list of numbers")
+            raise ConfigError(f"{where}.{key} must be a list of numbers")
         if key == "classify_t_grid" and len(value) < 2:
-            raise ConfigError(f"{suite}.{key} needs at least two times")
+            raise ConfigError(f"{where}.{key} needs at least two times")
         params[key] = value
-    for key, (default, _expected) in schema.items():
+    for key, (default, expected) in schema.items():
+        if key not in params and default is None and not _accepts(expected, None):
+            raise ConfigError(f"{where}.{key} is required")
         params.setdefault(key, default)
     return params
+
+
+def _validate(suite, supplied):
+    return _fields(suite, SUITES[suite][1], supplied)
 
 
 def write_suite(out_dir, suite, seed, config, tables, reports):

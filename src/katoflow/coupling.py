@@ -16,6 +16,7 @@ from scipy import integrate
 from . import streams
 from .errors import PrecisionError, TimeDomainError, UnsupportedStrategyError
 from .paths import _grid
+from .spaces import Euclidean
 from .reports import HOLDS, BoundReport, one_sided_verdict
 
 REFLECTION = "reflection"
@@ -70,7 +71,7 @@ def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, worke
 
     For x == y every hyperplane through x is a mirror; the runs couple at the
     first step and Y_t == X_t."""
-    if space.kind != "euclidean":
+    if not isinstance(space, Euclidean):
         raise UnsupportedStrategyError("reflection coupling implemented on R^d only")
     x = space.check_point(x)
     y = space.check_point(y)
@@ -79,7 +80,6 @@ def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, worke
     e = (y - x) / sep if sep > 0 else np.eye(x.size)[0]
     times, _steps = _grid(t, grid_step)
     n_steps = len(times) - 1
-    d = space.dimension
 
     def chunk(rng, size, _k):
         xs = np.tile(x, (size, 1))
@@ -87,7 +87,7 @@ def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, worke
         u = np.full(size, -0.5 * sep)
         for k in range(n_steps):
             h = times[k + 1] - times[k]
-            xs += math.sqrt(2.0 * h) * rng.standard_normal((size, d))
+            xs = space.move(h, xs, rng)
             unif = rng.random(size)
             u_new = (xs - mid) @ e
             coupled |= _crossed(u, u_new, h, unif)

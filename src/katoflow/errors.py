@@ -17,10 +17,6 @@ class TooSmallTimeError(KatoflowError):
     """Sphere spectral kernel requested at a time where the series is unusable."""
 
 
-class UnsupportedRefinementError(KatoflowError):
-    """Bridge refinement requested on a space that does not support it."""
-
-
 class UnsupportedStrategyError(KatoflowError):
     """Coupling strategy not available on this state space."""
 

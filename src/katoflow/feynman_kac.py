@@ -18,11 +18,11 @@ from scipy import linalg
 from . import paths
 from . import potentials as pot
 from . import streams
+from .spaces import euclidean
 from .errors import (
     DivergentBoundError,
     NonKatoError,
     TimeDomainError,
-    UnsupportedRefinementError,
 )
 
 _MAX_SUBDIVISIONS = 2**20  # Khashminskii splits of [0, r] tried before giving up
@@ -94,10 +94,8 @@ def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
         pid = np.repeat(np.arange(size), n_steps)
         leaves.append((pid, h, vraw[:, :-1].ravel(), vraw[:, 1:].ravel()))
         return ends, leaves
-    if space.kind != "euclidean":
-        raise UnsupportedRefinementError(
-            "singular potentials are restricted to Euclidean spaces"
-        )
+    # only Coulomb and molecular potentials have a singular set, and both
+    # build their own Euclidean space, as the bridge midpoints need
 
     # first level on (size, n_steps) views: far intervals become one leaf
     # block, and only the near ones are gathered for refinement
@@ -363,7 +361,7 @@ def duhamel_residual(V, psi, t, n_time_steps):
     time integral by the composite trapezoid on the same grid, so the residual
     decays at the rule's second order as the grid refines."""
     space = V.space
-    if space.kind != "euclidean" or space.dimension != 1:
+    if space != euclidean(1):
         raise TimeDomainError("duhamel_residual lives on euclidean(1)")
     if V.sup_norm is None:
         raise TimeDomainError("duhamel_residual needs a bounded potential")

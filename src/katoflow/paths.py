@@ -26,33 +26,15 @@ def _grid(horizon, grid_step):
 def sample_paths_batch(space, x, horizon, grid_step, n, rng):
     """(times, positions of shape (n, n_times, dim)) of n paths on the grid.
 
-    Euclidean steps are exact Gaussian transitions; sphere steps are
-    ``StateSpace._sphere_step`` moves, exact for steps of at least 1e-3 r^2."""
+    Each step is one ``move`` of the space: an exact Gaussian transition on
+    R^d, and on the sphere exact for steps of at least 1e-3 r^2."""
     if horizon <= 0:
         raise TimeDomainError("horizon must be > 0")
     if not 0 < grid_step <= horizon:
         raise TimeDomainError("need 0 < grid_step <= horizon")
     x = space.check_point(x)
     times, steps = _grid(horizon, grid_step)
-    if space.kind == "euclidean":
-        # the increments are scaled and the start added on flat (n, m*d)
-        # rows: the same elementwise operations as a broadcast over the
-        # length-d axis, without numpy's slow inner loop of length d
-        d, m = space.dimension, len(steps)
-        incr = rng.standard_normal((n, m * d))
-        incr *= np.repeat(np.sqrt(2.0 * steps), d)
-        pts = np.empty((n, m + 1, d))
-        pts[:, 0, :] = x
-        np.cumsum(incr.reshape(n, m, d), axis=1, out=pts[:, 1:, :])
-        pts.reshape(n, -1)[:, d:] += np.tile(x, m)
-        return times, pts
-    pts = np.empty((n, len(times), 3))
-    pts[:, 0, :] = x
-    cur = np.tile(x, (n, 1))
-    for i in range(1, len(times)):
-        cur = space._sphere_step(steps[i - 1], cur, rng)
-        pts[:, i, :] = cur
-    return times, pts
+    return times, space.walk(x, steps, n, rng)
 
 
 def bridge_midpoints(xl, xr, delta, rng):

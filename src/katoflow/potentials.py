@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import streams
-from .spaces import _row_distances
+from .spaces import _row_distances, euclidean
 from .errors import ConfigError, InvalidPointError, TimeDomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -94,15 +94,14 @@ class Potential:
 class CoulombPotential(Potential):
     """charge/|x - center| on R^3; attractive ( - ) by default."""
 
-    def __init__(self, space, center=(0.0, 0.0, 0.0), charge=1.0, attractive=True):
-        if space.kind != "euclidean" or space.dimension != 3:
-            raise InvalidPointError("Coulomb potential lives on euclidean(3)")
-        self.space = space
-        self.center = np.asarray(center, dtype=float)
+    space = euclidean(3)
+
+    def __init__(self, center=(0.0, 0.0, 0.0), charge=1.0, attractive=True):
+        self.center = self.space.check_point(center)
         self.charge = float(charge)
         self.attractive = bool(attractive)
         self.lower_bound = None if attractive else 0.0
-        self.name = f"coulomb(Z={charge}, {'-' if attractive else '+'})"
+        self.name = f"coulomb(Z={self.charge}, {'-' if self.attractive else '+'})"
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -135,11 +134,7 @@ class OscillatorPotential(Potential):
 
     name = "oscillator"
     lower_bound = 0.0
-
-    def __init__(self, space):
-        if space.kind != "euclidean" or space.dimension != 1:
-            raise InvalidPointError("oscillator potential lives on euclidean(1)")
-        self.space = space
+    space = euclidean(1)
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -210,7 +205,7 @@ class MolecularPotential(Potential):
 
     smoothed_abs_exact = False  # triangle-inequality sum of per-term values
 
-    def __init__(self, space, m, nuclei_r, charges):
+    def __init__(self, m, nuclei_r, charges):
         self.m = int(m)
         self.R = np.asarray(nuclei_r, dtype=float).reshape(-1, 3)
         self.Z = np.asarray(charges, dtype=float).reshape(-1)
@@ -219,11 +214,7 @@ class MolecularPotential(Potential):
         if np.any(self.Z < 0):
             raise InvalidPointError("charges must be >= 0")
         self.l = self.R.shape[0]
-        if space.kind != "euclidean" or space.dimension != 3 * self.m:
-            raise InvalidPointError(
-                f"molecular space must be euclidean({3 * self.m})"
-            )
-        self.space = space
+        self.space = euclidean(3 * self.m)
         self.name = f"molecular(m={self.m}, l={self.l})"
 
     def _blocks(self, pts):
@@ -383,6 +374,13 @@ def weighted_time_integral(m_fn, alpha, t, c_lead, extra_weight=None):
 # kato_integral and friends
 # ---------------------------------------------------------------------------
 
+def fit_blowup_exponent(alphas, values):
+    """Slope of log(value) against log(1 - alpha)."""
+    alphas = np.asarray(alphas, dtype=float)
+    values = np.asarray(values, dtype=float)
+    return float(np.polyfit(np.log(1.0 - alphas), np.log(values), 1)[0])
+
+
 def _blowup_exponent_estimate(V, t):
     """Fitted d log(bound) / d log(1-alpha) near alpha = 1."""
     alphas = np.array([0.90, 0.94, 0.98])
@@ -392,10 +390,7 @@ def _blowup_exponent_estimate(V, t):
         if v is None:
             v = _quadrature_bound(V, a, t)[0]
         vals.append(v)
-    x = np.log(1.0 - alphas)
-    y = np.log(vals)
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return fit_blowup_exponent(alphas, vals)
 
 
 def _quadrature_bound(V, alpha, t, extra_weight=None):
@@ -551,8 +546,6 @@ def _is_number(v):
 
 def load_molecule(source):
     """Molecule JSON {"m": int, "nuclei": [{"R": [x,y,z], "Z": charge}]}."""
-    from . import spaces as _spaces
-
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             data = json.load(fh)
@@ -572,13 +565,9 @@ def load_molecule(source):
             )
     rs = [n["R"] for n in data["nuclei"]]
     zs = [n["Z"] for n in data["nuclei"]]
-    return MolecularPotential(_spaces.euclidean(3 * m), m, rs, zs)
+    return MolecularPotential(m, rs, zs)
 
 
-def hydrogen(space=None):
+def hydrogen():
     """m=1, single unit charge at the origin."""
-    from . import spaces as _spaces
-
-    return MolecularPotential(
-        space or _spaces.euclidean(3), 1, [(0.0, 0.0, 0.0)], [1.0]
-    )
+    return MolecularPotential(1, [(0.0, 0.0, 0.0)], [1.0])

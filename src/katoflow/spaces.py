@@ -43,28 +43,13 @@ def _row_distances(a, b):
     return np.sqrt(out, out=out if out.ndim else None)
 
 
-@dataclass(frozen=True)
 class StateSpace:
-    """A model geometry: metric, measure, exact heat kernel, sampler."""
+    """A model geometry: metric, measure, exact heat kernel, sampler.
 
-    kind: str  # "euclidean" | "sphere2"
-    dimension: int
-    ricci_lower_bound: float  # the curvature parameter K
-    radius: float = 1.0
-
-    # -- construction ------------------------------------------------------
-
-    def __post_init__(self):
-        if self.kind not in ("euclidean", "sphere2"):
-            raise InvalidPointError(f"unknown space kind {self.kind!r}")
-        if self.dimension < 1:
-            raise InvalidPointError("dimension must be >= 1")
-
-    @property
-    def embedding_dim(self):
-        return self.dimension if self.kind == "euclidean" else 3
-
-    # -- points ------------------------------------------------------------
+    Each geometry is a frozen dataclass with a label ``kind``, ``dimension``,
+    ``embedding_dim``, the curvature parameter ``ricci_lower_bound`` (K),
+    ``check_point``, ``distance_batch``, ``kernel_at(t, dist)``, one Brownian
+    ``move(t, pts, rng)`` per row, ``total_mass(t)`` and ``ball_volume``."""
 
     def check_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -72,44 +57,167 @@ class StateSpace:
             raise InvalidPointError(
                 f"point has shape {x.shape}, expected ({self.embedding_dim},)"
             )
-        if self.kind == "sphere2":
-            if abs(np.linalg.norm(x) - self.radius) > 1e-12:
-                raise InvalidPointError(
-                    f"|x| = {np.linalg.norm(x)!r} is not on the sphere of "
-                    f"radius {self.radius}"
-                )
         return x
-
-    # -- metric ------------------------------------------------------------
 
     def distance(self, x, y):
         x = self.check_point(x)
         y = self.check_point(y)
         return float(self.distance_batch(x[None, :], y[None, :])[0])
 
+    def heat_kernel(self, t, x, y):
+        if t <= 0:
+            raise TimeDomainError("heat kernel requires t > 0")
+        return self.kernel_at(t, self.distance(x, y))
+
+    # -- transition sampling -------------------------------------------------
+
+    def sample_transition(self, t, x, rng):
+        return self.sample_transition_batch(t, x, 1, rng)[0]
+
+    def sample_transition_batch(self, t, x, n, rng):
+        """n independent samples of X_t started at x: one ``move``."""
+        if t < 0:
+            raise TimeDomainError("transition requires t >= 0")
+        pts = np.tile(self.check_point(x), (n, 1))
+        return pts if t == 0 else self.move(t, pts, rng)
+
+    def sample_transition_each(self, ts, x, rng):
+        """One sample per entry of ts (varying horizons, common start)."""
+        ts = np.asarray(ts, dtype=float)
+        x = self.check_point(x)
+        if np.any(ts < 0):
+            raise TimeDomainError("transition requires t >= 0")
+        return self._sample_each(ts, x, rng)
+
+    def _sample_each(self, ts, x, rng):
+        out = np.empty((ts.size, self.embedding_dim))
+        for i, t in enumerate(ts):
+            out[i] = self.sample_transition_batch(float(t), x, 1, rng)[0]
+        return out
+
+    def walk(self, x, steps, n, rng):
+        """Positions (n, len(steps) + 1, embedding_dim) of n paths from x."""
+        pts = np.empty((n, len(steps) + 1, self.embedding_dim))
+        pts[:, 0, :] = x
+        for i, h in enumerate(steps):
+            pts[:, i + 1, :] = self.move(h, pts[:, i, :], rng)
+        return pts
+
+
+@dataclass(frozen=True)
+class Euclidean(StateSpace):
+    """Flat R^d with Lebesgue measure; K = 0."""
+
+    dimension: int
+    kind = "euclidean"
+    ricci_lower_bound = 0.0
+
+    def __post_init__(self):
+        if self.dimension < 1:
+            raise InvalidPointError("dimension must be >= 1")
+
+    @property
+    def embedding_dim(self):
+        return self.dimension
+
     def distance_batch(self, xs, ys):
-        """Pairwise distances of two (..., embedding_dim) arrays."""
+        """Pairwise distances of two (..., dimension) arrays."""
+        return _row_distances(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+
+    def kernel_at(self, t, dist):
+        d = self.dimension
+        return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-dist * dist / (4.0 * t))
+
+    def total_mass(self, t):
+        """int p(t, x, .) dm by radial quadrature."""
+        d = self.dimension
+        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+        def dens(rho):
+            # this product order, not area * rho^(d-1) * kernel_at(t, rho),
+            # which moves the last bit of the euclidean(3) defect
+            return (
+                area
+                * rho ** (d - 1)
+                * (4.0 * math.pi * t) ** (-d / 2.0)
+                * math.exp(-rho * rho / (4.0 * t))
+            )
+
+        hi = 20.0 * math.sqrt(t) + 1.0
+        val, _ = integrate.quad(dens, 0.0, hi, limit=200)
+        return val
+
+    def ball_volume(self, radius):
+        d = self.dimension
+        unit = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+        return unit * radius**d
+
+    def move(self, t, pts, rng):
+        return pts + math.sqrt(2.0 * t) * rng.standard_normal(pts.shape)
+
+    def _sample_each(self, ts, x, rng):
+        z = rng.standard_normal((ts.size, self.dimension))
+        return x + np.sqrt(2.0 * ts)[:, None] * z
+
+    def walk(self, x, steps, n, rng):
+        # the increments are scaled and the start added on flat (n, m*d)
+        # rows: the same elementwise operations as a broadcast over the
+        # length-d axis, without numpy's slow inner loop of length d
+        d, m = self.dimension, len(steps)
+        incr = rng.standard_normal((n, m * d))
+        incr *= np.repeat(np.sqrt(2.0 * steps), d)
+        pts = np.empty((n, m + 1, d))
+        pts[:, 0, :] = x
+        np.cumsum(incr.reshape(n, m, d), axis=1, out=pts[:, 1:, :])
+        pts.reshape(n, -1)[:, d:] += np.tile(x, m)
+        return pts
+
+
+@dataclass(frozen=True)
+class Sphere2(StateSpace):
+    """Round 2-sphere of the given radius; K = 1/radius^2."""
+
+    radius: float
+    kind = "sphere2"
+    dimension = 2
+    embedding_dim = 3
+
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise InvalidPointError(
+                f"sphere radius must be positive and finite, got {self.radius!r}"
+            )
+
+    @property
+    def ricci_lower_bound(self):
+        return 1.0 / (self.radius * self.radius)
+
+    def check_point(self, x):
+        x = super().check_point(x)
+        if abs(np.linalg.norm(x) - self.radius) > 1e-12:
+            raise InvalidPointError(
+                f"|x| = {np.linalg.norm(x)!r} is not on the sphere of "
+                f"radius {self.radius}"
+            )
+        return x
+
+    def distance_batch(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if self.kind == "euclidean":
-            return _row_distances(xs, ys)
         r = self.radius
         cosang = np.clip(np.sum(xs * ys, axis=-1) / (r * r), -1.0, 1.0)
         return r * np.arccos(cosang)
 
-    # -- heat kernel ---------------------------------------------------------
+    def kernel_at(self, t, dist):
+        return float(self.sphere_kernel_theta(t, dist / self.radius))
 
-    def heat_kernel(self, t, x, y):
-        if t <= 0:
-            raise TimeDomainError("heat kernel requires t > 0")
-        x = self.check_point(x)
-        y = self.check_point(y)
-        if self.kind == "euclidean":
-            d = self.dimension
-            sq = float(np.sum((x - y) ** 2))
-            return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-sq / (4.0 * t))
-        theta = self.distance(x, y) / self.radius
-        return float(self.sphere_kernel_theta(t, theta))
+    def total_mass(self, t):
+        return exact_sphere_moment(self, t, 0)
+
+    def ball_volume(self, radius):
+        r = self.radius
+        ang = min(radius / r, math.pi)
+        return 2.0 * math.pi * r * r * (1.0 - math.cos(ang))
 
     def sphere_series_length(self, t):
         """Smallest series length L with certified tail below 1e-13; at most
@@ -127,8 +235,6 @@ class StateSpace:
 
     def sphere_kernel_theta(self, t, theta):
         """Spectral kernel as a function of the angle; vectorized in theta."""
-        if self.kind != "sphere2":
-            raise InvalidPointError("sphere_kernel_theta needs a sphere2 space")
         if t <= 0:
             raise TimeDomainError("heat kernel requires t > 0")
         r = self.radius
@@ -140,16 +246,9 @@ class StateSpace:
         )
         return npleg.legval(np.cos(np.asarray(theta, dtype=float)), coeffs)
 
-    # -- transition sampling -------------------------------------------------
-
-    def sample_transition(self, t, x, rng):
-        return self.sample_transition_batch(t, x, 1, rng)[0]
-
     def sphere_angle_cdf(self, t, theta):
         """P(Theta <= theta) for the polar angle of X_t about its start;
         vectorized in theta, exact up to the certified 1e-13 series tail."""
-        if self.kind != "sphere2":
-            raise InvalidPointError("sphere_angle_cdf needs a sphere2 space")
         if t <= 0:
             raise TimeDomainError("heat kernel requires t > 0")
         cdf = self._sphere_angle_series(t)
@@ -216,19 +315,7 @@ class StateSpace:
             theta[idx] = np.where(inside, step, 0.5 * (lo[idx] + hi[idx]))
         return theta
 
-    def sample_transition_batch(self, t, x, n, rng):
-        """n independent samples of X_t started at x; exact on R^d, and on
-        the sphere exact for t >= 1e-3 r^2 (one geodesic step below)."""
-        if t < 0:
-            raise TimeDomainError("transition requires t >= 0")
-        x = self.check_point(x)
-        if t == 0:
-            return np.tile(x, (n, 1))
-        if self.kind == "euclidean":
-            return x + math.sqrt(2.0 * t) * rng.standard_normal((n, self.dimension))
-        return self._sphere_step(t, np.tile(x, (n, 1)), rng)
-
-    def _sphere_step(self, t, pts, rng):
+    def move(self, t, pts, rng):
         """One Brownian move of duration t from each row of pts.
 
         The direction is uniform in the tangent plane. The geodesic angle is
@@ -254,30 +341,15 @@ class StateSpace:
         p *= r / np.linalg.norm(p, axis=1, keepdims=True)
         return p
 
-    def sample_transition_each(self, ts, x, rng):
-        """One sample per entry of ts (varying horizons, common start)."""
-        ts = np.asarray(ts, dtype=float)
-        x = self.check_point(x)
-        if np.any(ts < 0):
-            raise TimeDomainError("transition requires t >= 0")
-        if self.kind == "euclidean":
-            z = rng.standard_normal((ts.size, self.dimension))
-            return x + np.sqrt(2.0 * ts)[:, None] * z
-        out = np.empty((ts.size, 3))
-        for i, t in enumerate(ts):
-            out[i] = self.sample_transition_batch(float(t), x, 1, rng)[0]
-        return out
-
 
 def euclidean(d):
     """Flat R^d with Lebesgue measure; K = 0."""
-    return StateSpace("euclidean", int(d), 0.0)
+    return Euclidean(int(d))
 
 
 def sphere2(radius=1.0):
     """Round 2-sphere of the given radius; K = 1/radius^2."""
-    radius = float(radius)
-    return StateSpace("sphere2", 2, 1.0 / (radius * radius), radius)
+    return Sphere2(float(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +412,13 @@ def exact_sphere_moment(space, t, order):
 
 def conservativeness_defect(space, t, x):
     """|integral of p(t,x,.) dm - 1| by radial quadrature."""
-    x = space.check_point(x)
-    if space.kind == "euclidean":
-        d = space.dimension
-        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-        def dens(rho):
-            return (
-                area
-                * rho ** (d - 1)
-                * (4.0 * math.pi * t) ** (-d / 2.0)
-                * math.exp(-rho * rho / (4.0 * t))
-            )
-
-        hi = 20.0 * math.sqrt(t) + 1.0
-        val, _ = integrate.quad(dens, 0.0, hi, limit=200)
-        return abs(val - 1.0)
-    return abs(exact_sphere_moment(space, t, 0) - 1.0)
+    space.check_point(x)
+    return abs(space.total_mass(t) - 1.0)
 
 
 def chapman_kolmogorov_defect(space, t, s, x, y):
     """|int p(t,x,z) p(s,z,y) dz - p(t+s,x,y)| by quadrature on R^1."""
-    if space.kind != "euclidean" or space.dimension != 1:
+    if space != euclidean(1):
         raise InvalidPointError("Chapman-Kolmogorov quadrature supports R^1 only")
     x = space.check_point(x)
     y = space.check_point(y)
@@ -375,49 +432,18 @@ def chapman_kolmogorov_defect(space, t, s, x, y):
     return abs(val - space.heat_kernel(t + s, x, y))
 
 
-def ball_volume(space, geodesic_radius):
-    """Measure of a metric ball (used by the Li-Yau sanity scan)."""
-    if space.kind == "euclidean":
-        d = space.dimension
-        unit = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-        return unit * geodesic_radius**d
-    r = space.radius
-    ang = min(geodesic_radius / r, math.pi)
-    return 2.0 * math.pi * r * r * (1.0 - math.cos(ang))
-
-
 def li_yau_constant_scan(space, t_grid, dist_grid):
     """Smallest C of a geometric grid on [1, 1e3] with
     p(t,x,y) <= C/m(B(x,sqrt t)) * exp(-d^2/(Ct)).
 
     Only a sanity inequality on model spaces, never a proof.
     """
-    if space.kind == "euclidean":
-        x = np.zeros(space.dimension)
 
-        def kern(t, dist):
-            y = x.copy()
-            y[0] = dist
-            return space.heat_kernel(t, x, y)
-
-    else:
-        x = np.array([0.0, 0.0, space.radius])
-
-        def kern(t, dist):
-            return float(space.sphere_kernel_theta(t, dist / space.radius))
+    def exceeds(c, t, dist):
+        rhs = c / space.ball_volume(math.sqrt(t)) * math.exp(-dist * dist / (c * t))
+        return space.kernel_at(t, dist) > rhs * (1.0 + 1e-12)
 
     for c in np.geomspace(1.0, 1e3, 200):
-        ok = True
-        for t in t_grid:
-            vol = ball_volume(space, math.sqrt(t))
-            for dist in dist_grid:
-                lhs = kern(t, dist)
-                rhs = c / vol * math.exp(-dist * dist / (c * t))
-                if lhs > rhs * (1.0 + 1e-12):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if not any(exceeds(c, t, dist) for t in t_grid for dist in dist_grid):
             return float(c)
     return math.inf

@@ -12,8 +12,8 @@ E1 = spaces.euclidean(1)
 E3 = spaces.euclidean(3)
 S2 = spaces.sphere2(1.0)
 
-COULOMB = potentials.CoulombPotential(E3, charge=1.0, attractive=False)
-HYDROGEN = potentials.hydrogen(E3)
+COULOMB = potentials.CoulombPotential(charge=1.0, attractive=False)
+HYDROGEN = potentials.hydrogen()
 
 
 def test_worst_pair_returns_a_nan_quotient():
@@ -43,6 +43,13 @@ def test_f_K_continuous_at_zero_curvature(t):
     base = bounds.f_K(0.0, t)
     for k in (1e-6, -1e-6):
         assert abs(bounds.f_K(k * 1e-3 / t, t) - base) / base < 1e-6
+
+
+def test_f_K_past_expm1_overflow():
+    """Where e^{2Kt} - 1 overflows, F_K is sqrt(K) e^{-Kt}; below, the
+    expm1 form is kept bit for bit."""
+    assert bounds.f_K(400.0, 1.0) == math.sqrt(400.0) * math.exp(-400.0)
+    assert bounds.f_K(1.0, 1.0) == math.sqrt(1.0 / math.expm1(2.0))
 
 
 def test_f_K_small_K_limit():
@@ -162,7 +169,7 @@ def test_A_constant_composition_and_divergence():
 def test_A_constant_blowup_slope():
     alphas = np.linspace(0.8, 0.98, 10)
     vals = [bounds.A_constant(HYDROGEN, 0.0, a, 1.0, 2.0) for a in alphas]
-    slope = bounds.fit_blowup_exponent(alphas, vals)
+    slope = potentials.fit_blowup_exponent(alphas, vals)
     assert slope == pytest.approx(-1.0, abs=0.1)
 
 
@@ -227,7 +234,7 @@ def test_eigenfunction_corollary_hydrogen():
 
 
 def test_corollary_B_single_term_reduces_to_A():
-    coul = potentials.CoulombPotential(E3, charge=1.0, attractive=True)
+    coul = potentials.CoulombPotential(charge=1.0, attractive=True)
     t = 1.0
     b = bounds.corollary_B_constant([coul], [], 0.0, 0.5, t)
     khash = fk.khashminskii_certify(coul, t)
@@ -236,8 +243,8 @@ def test_corollary_B_single_term_reduces_to_A():
 
 
 def test_corollary_B_helium_toy_finite():
-    nuc = potentials.CoulombPotential(E3, charge=2.0, attractive=True)
-    rep = potentials.CoulombPotential(E3, charge=1.0 / math.sqrt(2.0),
+    nuc = potentials.CoulombPotential(charge=2.0, attractive=True)
+    rep = potentials.CoulombPotential(charge=1.0 / math.sqrt(2.0),
                                       attractive=False)
     b = bounds.corollary_B_constant([nuc, nuc], [rep], 0.0, 0.5, 1.0)
     assert math.isfinite(b) and b > 0
@@ -250,8 +257,8 @@ def test_corollary_B_helium_toy_finite():
 def test_corollary_B_lithium_needs_more_than_255_splits():
     """m = 3 electrons on a Z = 3 nucleus, as suite_molecule builds its terms:
     the summed alpha=0 Kato bound needs 630 Khashminskii splits at t = 1."""
-    nuc = potentials.CoulombPotential(E3, charge=3.0, attractive=True)
-    rep = potentials.CoulombPotential(E3, charge=1.0 / math.sqrt(2.0),
+    nuc = potentials.CoulombPotential(charge=3.0, attractive=True)
+    rep = potentials.CoulombPotential(charge=1.0 / math.sqrt(2.0),
                                       attractive=False)
     b = bounds.corollary_B_constant([nuc] * 3, [rep] * 3, 0.0, 0.5, 1.0)
     assert math.isfinite(b) and b > 0
@@ -272,7 +279,7 @@ def test_molecular_bound_shape():
         bounds.molecular_bound(1, 1, None, None, math.inf, a, 1.0, 1.0, 0.0)
         for a in alphas
     ]
-    assert bounds.fit_blowup_exponent(alphas, vals) == pytest.approx(-1.0, abs=0.12)
+    assert potentials.fit_blowup_exponent(alphas, vals) == pytest.approx(-1.0, abs=0.12)
 
 
 def test_calibration_dominates_and_extrapolates():
@@ -295,7 +302,7 @@ def test_calibration_dominates_and_extrapolates():
 def test_kato_scaling_property(alpha, t):
     # closed form obeys kato(a V) = |a| kato(V) and the C-constant weight
     base = COULOMB.closed_form_kato(alpha, t)
-    minus_two = potentials.CoulombPotential(E3, charge=2.0, attractive=True)
+    minus_two = potentials.CoulombPotential(charge=2.0, attractive=True)
     assert minus_two.closed_form_kato(alpha, t) == pytest.approx(
         2.0 * base, rel=1e-12
     )

@@ -61,6 +61,20 @@ def test_bad_config_value_exits_2(tmp_path):
     ("molecule", "nuclei=[1]"),
     ("molecule", 'nuclei=[{"R":[0,0],"Z":1}]'),
     ("molecule", 'nuclei=[{"R":[0,0,0]}]'),
+    ("holder", 'space={"kind":"sphere2","radius":0}'),
+    ("holder", 'space={"kind":"sphere2","radius":-1}'),
+    ("holder", 'space={"kind":"sphere2","radius":"a"}'),
+    ("holder", 'space={"kind":"sphere2","radius":true}'),
+    ("holder", 'space={"kind":"euclidean","d":1.9}'),
+    ("holder", 'space={"kind":"sphere2","radius":1,"d":3}'),
+    ("fk", 'potential={"type":"constant"}'),
+    ("fk", 'potential={"type":"constant","c":"a"}'),
+    ("fk", 'potential={"type":"coulomb","charge":"a"}'),
+    ("fk", 'potential={"type":"molecular"}'),
+    ("fk", 'psi={"type":"ball"}'),
+    ("fk", 'potential={"type":"zero","dim":true}'),
+    ("fk", 'potential={"type":"zero","dim":1,"extra":2}'),
+    ("theorem", 'potential={"type":"coulomb","center":[0,0]}'),
 ])
 def test_mistyped_override_exits_2(tmp_path, capsys, suite, override):
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
@@ -236,6 +250,18 @@ def test_sphere_moment_rows_catch_a_sampler_at_the_wrong_time(tmp_path, monkeypa
     assert [r["verdict"] for r in _sphere_moment_rows(tmp_path / "late")] == [
         "violated", "violated", "holds"
     ]
+
+
+def test_holder_on_a_high_curvature_sphere_runs(tmp_path):
+    """K = 400 at t = 1 puts e^{2Kt} past the double range; F_K then takes
+    its e^{-Kt} form instead of overflowing."""
+    out = tmp_path / "o"
+    assert run(["holder", "--seed", "1", "--out", str(out),
+                "--set", 'space={"kind":"sphere2","radius":0.05}',
+                "--set", "t_grid=[1.0]"]) == 0
+    with open(out / "holder_results.csv", newline="") as fh:
+        caps = {float(r["alpha"]): float(r["cap"]) for r in csv.DictReader(fh)}
+    assert caps[1.0] == pytest.approx(20.0 * math.exp(-400.0), rel=1e-12)
 
 
 def test_set_override_requires_key_value(tmp_path):

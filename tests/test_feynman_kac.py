@@ -10,7 +10,7 @@ from katoflow.errors import DivergentBoundError, NonKatoError, TimeDomainError
 E1 = spaces.euclidean(1)
 E3 = spaces.euclidean(3)
 
-HYDROGEN = potentials.hydrogen(E3)
+HYDROGEN = potentials.hydrogen()
 PSI_H = functions.HydrogenGround()
 
 
@@ -62,7 +62,7 @@ def test_fk_hydrogen_ground_state():
 
 
 def test_fk_oscillator_ground_state():
-    v = potentials.OscillatorPotential(E1)
+    v = potentials.OscillatorPotential()
     x = np.array([0.4])
     target = math.exp(-0.5) * math.exp(-0.5 * 0.16)
     est = fk.fk_evaluate(
@@ -172,7 +172,7 @@ def test_fk_semigroup_property_statistical():
 def test_khashminskii_certificates():
     z = potentials.ZeroPotential(E3)
     assert fk.khashminskii_certify(z, 1.0).bound_on_C_exp == 1.0
-    coul = potentials.CoulombPotential(E3)
+    coul = potentials.CoulombPotential()
     r = math.pi / 16  # kappa = (2/sqrt(pi)) sqrt(r) = 1/2 exactly
     cert = fk.khashminskii_certify(coul, r)
     assert cert.kappa == pytest.approx(0.5, rel=1e-12)
@@ -222,7 +222,7 @@ def test_khashminskii_bound_overflow_is_divergent():
 
 def test_khashminskii_empirical_exp_moment():
     r = math.pi / 16
-    coul = potentials.CoulombPotential(E3)
+    coul = potentials.CoulombPotential()
     mean, se = fk.exp_action_moment(
         coul, np.zeros(3), r, 60_000, seed=9, grid_step=r / 100
     )

@@ -12,7 +12,7 @@ E1 = spaces.euclidean(1)
 E3 = spaces.euclidean(3)
 E6 = spaces.euclidean(6)
 
-COULOMB = potentials.CoulombPotential(E3, charge=1.0, attractive=False)
+COULOMB = potentials.CoulombPotential(charge=1.0, attractive=False)
 
 
 def coulomb_kato_exact(alpha, t):
@@ -55,7 +55,7 @@ def test_smoothed_coulomb_oracle_quadrature():
 
 def test_molecular_value_and_singularities():
     mol = potentials.MolecularPotential(
-        E6, 2, [(0.0, 0.0, 0.0)], [2.0]
+        2, [(0.0, 0.0, 0.0)], [2.0]
     )  # helium-like
     x = np.array([1.0, 0, 0, -1.0, 0, 0])
     # -2/1 - 2/1 + 1/2
@@ -73,7 +73,7 @@ def test_coulomb_terms_match_numpy_norm_bit_for_bit():
     pts3 = rng.standard_normal((5000, 3)) * rng.uniform(1e-8, 50.0, (5000, 1))
     pts6 = rng.standard_normal((5000, 6)) * rng.uniform(1e-8, 50.0, (5000, 1))
     R = np.array([(0.3, -0.2, 0.1), (-1.0, 0.5, 2.0)])
-    mol = potentials.MolecularPotential(E6, 2, R, [1.0, 2.0])
+    mol = potentials.MolecularPotential(2, R, [1.0, 2.0])
     b = pts6.reshape(-1, 2, 3)
     nuc = [np.linalg.norm(b[:, j] - R[i], axis=1) for j in range(2) for i in range(2)]
     pair = np.linalg.norm(b[:, 0] - b[:, 1], axis=1)
@@ -183,7 +183,7 @@ def test_kato_certificate_monotone_in_t():
 
 
 def test_kato_linearity_and_nesting():
-    scaled = potentials.CoulombPotential(E3, charge=2.5, attractive=False)
+    scaled = potentials.CoulombPotential(charge=2.5, attractive=False)
     for alpha in [0.0, 0.4, 0.8]:
         b1 = potentials.kato_integral(COULOMB, alpha, 0.7, method="quadrature").bound
         b2 = potentials.kato_integral(scaled, alpha, 0.7, method="quadrature").bound
@@ -198,10 +198,10 @@ def test_kato_linearity_and_nesting():
 
 def test_kato_subadditivity_two_nuclei():
     duo = potentials.MolecularPotential(
-        E3, 1, [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0)], [1.0, 2.0]
+        1, [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0)], [1.0, 2.0]
     )
-    single1 = potentials.CoulombPotential(E3, (0, 0, 0), 1.0)
-    single2 = potentials.CoulombPotential(E3, (1.5, 0, 0), 2.0)
+    single1 = potentials.CoulombPotential((0, 0, 0), 1.0)
+    single2 = potentials.CoulombPotential((1.5, 0, 0), 2.0)
     b = potentials.kato_integral(duo, 0.5, 0.5, method="quadrature").bound
     b1 = potentials.kato_integral(single1, 0.5, 0.5).bound
     b2 = potentials.kato_integral(single2, 0.5, 0.5).bound
@@ -235,7 +235,7 @@ def test_classify_bounded_always_kato():
 
 
 def test_classify_oscillator_not_kato():
-    v = potentials.OscillatorPotential(E1)
+    v = potentials.OscillatorPotential()
     res = potentials.classify_kato(v, [1.0, 0.5, 0.25], 0.0)
     assert res.is_kato is False
 
@@ -301,7 +301,7 @@ def test_coulomb_distances_keep_numpy_norm_bits_on_special_rows():
     pts6[10:20, 0] = np.inf
     pts6[20:30, 4] = -np.inf
     pts6[30:40, 2] = np.nan
-    mol = potentials.MolecularPotential(E6, 2, [(0.0, -0.0, 0.5)], [1.0])
+    mol = potentials.MolecularPotential(2, [(0.0, -0.0, 0.5)], [1.0])
     b = pts6.reshape(-1, 2, 3)
     nuc = [np.linalg.norm(b[:, j] - mol.R[0], axis=1) for j in range(2)]
     pair = np.linalg.norm(b[:, 0] - b[:, 1], axis=1) / math.sqrt(2)

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +293,30 @@ def test_euclidean_distances_match_numpy_norm_bit_for_bit(d):
                 np.linalg.norm(batch[:, 1:] - batch[:, :-1], axis=-1))
     assert space.distance_batch(a[100], b[100]) == np.linalg.norm(a[100] - b[100])
     assert _same(spaces._row_distances(a, b[5]), np.linalg.norm(a - b[5], axis=-1))
+
+
+def _subclasses(cls):
+    found = set()
+    for sub in cls.__subclasses__():
+        found |= {sub} | _subclasses(sub)
+    return found
+
+
+def test_one_class_per_geometry_and_no_kind_branch():
+    """Each geometry is a StateSpace subclass that inherits the one
+    sample_transition_batch (code that patches it on StateSpace sees every
+    call); spaces compare by value; and no module branches on ``.kind``."""
+    geometries = _subclasses(spaces.StateSpace)
+    assert geometries
+    for cls in geometries:
+        assert "sample_transition_batch" not in vars(cls), cls
+    assert spaces.euclidean(3) == spaces.euclidean(3)
+    assert spaces.euclidean(3) != spaces.sphere2(1.0)
+    branch = re.compile(r"\.kind\s*(==|!=|in\b|not in)")
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(spaces.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if branch.search(line)
+    ]
+    assert found == []
