@@ -25,9 +25,24 @@ from .errors import ConfigError, KatoflowError, TooSmallTimeError
 from .reports import HOLDS, BoundReport, jsonable, one_sided_verdict, two_sided_verdict
 
 
+# a molecule file's fields, checked as --set checks the suite's m and nuclei
+_MOLECULE_FILE = {"m": (None, int), "nuclei": (None, list)}
+
+
 def _molecule_from(file, m, nuclei):
     if file:
-        return pot.load_molecule(file)
+        try:
+            with open(file) as fh:
+                data = json.load(fh)
+        except OSError as err:
+            raise ConfigError(f"molecule file {file}: {err.strerror}")
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"molecule file {file} line {err.lineno}: {err.msg}")
+        except ValueError:
+            raise ConfigError(f"molecule file {file} cannot be decoded as text")
+        if not isinstance(data, dict):
+            raise ConfigError(f"molecule file {file} must hold an object")
+        return pot.load_molecule(_fields("file", _MOLECULE_FILE, data))
     if m is None or nuclei is None:
         raise ConfigError("a molecule needs a file, or m and nuclei")
     return pot.load_molecule({"m": m, "nuclei": nuclei})

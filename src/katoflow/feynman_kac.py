@@ -18,7 +18,7 @@ from scipy import linalg
 from . import paths
 from . import potentials as pot
 from . import streams
-from .spaces import euclidean
+from .spaces import _ROW_BLOCK, euclidean
 from .errors import (
     DivergentBoundError,
     NonKatoError,
@@ -69,47 +69,85 @@ class KhashminskiiCertificate:
 
 
 # ---------------------------------------------------------------------------
-# path + refined-leaf engine
+# path + streamed-action engine
 # ---------------------------------------------------------------------------
 
 
-def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
-    """Simulate a chunk of paths and refine action intervals near singularities.
+def _children(nl, nr, left, right):
+    """``left[nl]`` followed by ``right[nr]``, gathered into one new array.
+    The indices are in range; mode "clip" lets ``np.take`` write into ``out``
+    without the buffer that mode "raise" takes."""
+    out = np.empty((nl.size + nr.size,) + left.shape[1:], dtype=left.dtype)
+    np.take(left, nl, axis=0, out=out[:nl.size], mode="clip")
+    np.take(right, nr, axis=0, out=out[nl.size:], mode="clip")
+    return out
 
-    Returns (endpoints, leaves) where leaves is a list of
-    (path_index_array, interval_length, v_left_array, v_right_array).
+
+def _scan_skeleton(V, nodes, cols, h, action):
+    """Add the far trapezoids of each path's skeleton to ``action``.
+
+    ``nodes`` holds the paths' nodes row after row, ``cols`` per path, and
+    is scanned a block of _ROW_BLOCK paths at a time, with one call of V and
+    of ``V.singularity_distance`` per block.  A row cumsum adds a path's far
+    trapezoids in column order, with 0.0 in place of the near ones.  Returns
+    (number of far intervals, near intervals), where the near intervals are
+    None when V has no singular set, else the arrays (flat node index of the
+    left end, v_left, v_right, d_left, d_right), in path and column order.
+    """
+    thr = _NEAR_FACTOR * math.sqrt(2.0 * h)
+    n_far, parts = 0, []
+    for lo in range(0, action.size, _ROW_BLOCK):
+        flat = nodes[lo * cols:(lo + _ROW_BLOCK) * cols]
+        rows = flat.shape[0] // cols
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.asarray(V(flat), dtype=float).reshape(rows, cols)
+            trap = h * (v[:, :-1] + v[:, 1:]) / 2.0
+        n_far += trap.size
+        dist = V.singularity_distance(flat)
+        if dist is not None:
+            dist = np.asarray(dist, dtype=float).reshape(rows, cols)
+            near = np.minimum(dist[:, :-1], dist[:, 1:]) < thr
+            trap[near] = 0.0
+            row, col = np.nonzero(near)
+            at = row * cols + col
+            n_far -= at.size
+            parts.append((at + lo * cols, v.take(at), v.take(at + 1),
+                          dist.take(at), dist.take(at + 1)))
+        action[lo:lo + rows] = np.cumsum(trap, axis=1)[:, -1]
+    if not parts:
+        return n_far, None
+    return n_far, tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _chunk_actions(space, V, x, t, size, rng, n_steps, tol, max_depth):
+    """Simulate a chunk of paths and integrate V along each.
+
+    Returns (endpoints, action of each path, number of leaves).  A leaf is
+    one interval of the final partition, and its trapezoid is added to its
+    path's action as soon as it settles: the skeleton's far intervals first,
+    then at each bridge level the settled left halves, the settled right
+    halves and the far children, left ones before right ones.  Each block of
+    a level is one bincount over the level, with 0.0 for its non-members:
+    bincount adds a path's weights in order, so the sums are those of the
+    blocks themselves.
     """
     h = t / n_steps
-    d = space.embedding_dim
+    cols = n_steps + 1
     _times, pts = paths.sample_paths_batch(space, x, t, h, size, rng)
     ends = pts[:, -1, :].copy()
-
-    flat = pts.reshape(-1, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vraw = np.asarray(V(flat), dtype=float).reshape(size, n_steps + 1)
-
-    sing_dist = V.singularity_distance(flat)
-    leaves = []
-    if sing_dist is None:
-        pid = np.repeat(np.arange(size), n_steps)
-        leaves.append((pid, h, vraw[:, :-1].ravel(), vraw[:, 1:].ravel()))
-        return ends, leaves
+    nodes = pts.reshape(-1, space.embedding_dim)
+    action = np.empty(size)
+    n_leaves, near = _scan_skeleton(V, nodes, cols, h, action)
+    if near is None:
+        return ends, action, n_leaves
     # only Coulomb and molecular potentials have a singular set, and both
     # build their own Euclidean space, as the bridge midpoints need
+    at, vl, vr, dl, dr = near
+    pid = at // cols
+    xl, xr = nodes.take(at, axis=0), nodes.take(at + 1, axis=0)
+    del pts, nodes, near, at  # free the skeleton before refining
 
-    # first level on (size, n_steps) views: far intervals become one leaf
-    # block, and only the near ones are gathered for refinement
-    dist = np.asarray(sing_dist, dtype=float).reshape(size, n_steps + 1)
     delta = h
-    near = np.minimum(dist[:, :-1], dist[:, 1:]) < _NEAR_FACTOR * math.sqrt(2.0 * delta)
-    far = ~near
-    leaves.append((np.nonzero(far)[0], delta, vraw[:, :-1][far], vraw[:, 1:][far]))
-    pid, col = np.nonzero(near)
-    xl, xr = pts[pid, col], pts[pid, col + 1]
-    vl, vr = vraw[pid, col], vraw[pid, col + 1]
-    dl, dr = dist[pid, col], dist[pid, col + 1]
-    del pts, flat, vraw, sing_dist, dist  # free the skeleton before refining
-
     for _depth in range(max_depth):
         if pid.size == 0:
             break
@@ -120,32 +158,32 @@ def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
         dm = np.asarray(V.singularity_distance(mid), dtype=float)
         with np.errstate(invalid="ignore"):
             disc = delta * np.abs(2.0 * vm - vl - vr) / 4.0
+            left = half * (vl + vm) / 2.0
+            right = half * (vm + vr) / 2.0
         keep = ~(disc <= tol)  # parents worth another level; NaN counts as unsettled
 
-        # children of settled parents become leaves right away
-        settled = np.flatnonzero(~keep)
-        pid_s = pid[settled]
-        leaves.append((pid_s, half, vl[settled], vm[settled]))
-        leaves.append((pid_s, half, vm[settled], vr[settled]))
-
-        # children of kept parents, left ones before right ones: the far
-        # children form one leaf block and the near ones the next level
+        settled = ~keep
+        action += np.bincount(pid, np.where(settled, left, 0.0), size)
+        action += np.bincount(pid, np.where(settled, right, 0.0), size)
         delta = half
         thr = _NEAR_FACTOR * math.sqrt(2.0 * delta)
-        near_l = np.minimum(dl, dm) < thr
-        near_r = np.minimum(dm, dr) < thr
-        fl = np.flatnonzero(keep & ~near_l)
-        fr = np.flatnonzero(keep & ~near_r)
-        leaves.append((
-            np.concatenate((pid[fl], pid[fr])), delta,
-            np.concatenate((vl[fl], vm[fr])), np.concatenate((vm[fl], vr[fr])),
-        ))
-        nl = np.flatnonzero(keep & near_l)
-        nr = np.flatnonzero(keep & near_r)
-        pid = np.concatenate((pid[nl], pid[nr]))
-        xl, xr = np.concatenate((xl[nl], mid[nr])), np.concatenate((mid[nl], xr[nr]))
-        vl, vr = np.concatenate((vl[nl], vm[nr])), np.concatenate((vm[nl], vr[nr]))
-        dl, dr = np.concatenate((dl[nl], dm[nr])), np.concatenate((dm[nl], dr[nr]))
+        near_l = keep & (np.minimum(dl, dm) < thr)
+        near_r = keep & (np.minimum(dm, dr) < thr)
+        far_l, far_r = keep & ~near_l, keep & ~near_r
+        action += np.bincount(
+            np.concatenate((pid, pid)),
+            np.concatenate((np.where(far_l, left, 0.0), np.where(far_r, right, 0.0))),
+            size,
+        )
+        n_leaves += (2 * np.count_nonzero(settled) + np.count_nonzero(far_l)
+                     + np.count_nonzero(far_r))
+
+        # the near children, left ones before right ones, are the next level
+        nl, nr = np.flatnonzero(near_l), np.flatnonzero(near_r)
+        pid = _children(nl, nr, pid, pid)
+        xl, xr = _children(nl, nr, xl, mid), _children(nl, nr, mid, xr)
+        vl, vr = _children(nl, nr, vl, vm), _children(nl, nr, vm, vr)
+        dl, dr = _children(nl, nr, dl, dm), _children(nl, nr, dm, dr)
 
     if pid.size:
         # Only an interval kept to max_depth can end on V's singular set (a
@@ -153,17 +191,11 @@ def _chunk_leaves(space, V, x, t, size, rng, n_steps, tol, max_depth):
         # V is inf or NaN; such an endpoint counts as 0 here.  The action
         # moves by at most the alpha=0 Kato bound over one leaf of length
         # h*2^-max_depth: 3.1e-4 for hydrogen at t = 0.5.
-        leaves.append((pid, delta, np.where(np.isfinite(vl), vl, 0.0),
-                       np.where(np.isfinite(vr), vr, 0.0)))
-    return ends, leaves
-
-
-def _actions_from_leaves(leaves, size):
-    """Trapezoid action of each path: its leaves' trapezoids summed per path."""
-    action = np.zeros(size)
-    for pid, delta, vl, vr in leaves:
-        action += np.bincount(pid, weights=delta * (vl + vr) / 2.0, minlength=size)
-    return action
+        vl = np.where(np.isfinite(vl), vl, 0.0)
+        vr = np.where(np.isfinite(vr), vr, 0.0)
+        action += np.bincount(pid, delta * (vl + vr) / 2.0, size)
+        n_leaves += pid.size
+    return ends, action, n_leaves
 
 
 def _grid_steps(t, grid_step):
@@ -218,12 +250,12 @@ def fk_evaluate(
     grid_step = t / n_steps
 
     def chunk(rng, size, _k):
-        ends, leaves = _chunk_leaves(
+        ends, action, n_leaves = _chunk_actions(
             space, V, x, t, size, rng, n_steps, _TOL, _MAX_DEPTH
         )
-        w = np.exp(-_actions_from_leaves(leaves, size))
+        w = np.exp(-action)
         w *= np.asarray(psi(ends), dtype=float)
-        return size, w.sum(), (w * w).sum(), sum(p[0].size for p in leaves)
+        return size, w.sum(), (w * w).sum(), n_leaves
 
     parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
     n, value, stderr = streams.merge_chunks(p[:3] for p in parts)

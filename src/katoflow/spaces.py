@@ -9,6 +9,7 @@ i.e. per-coordinate transition variance 2t, and the sphere kernel is the
 spectral series with eigenvalues l(l+1)/radius^2.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ _SPHERE_MIN_TIME = 1e-3  # below this the spectral series is not certified
 _SPHERE_TAIL_TOL = 1e-13
 _SPHERE_TABLE = 257  # angle-table nodes that bracket each inverse-CDF solve
 _SPHERE_MAX_ITER = 64  # a cap only: the residual test stops after 2-4 steps
+_ROW_BLOCK = 512  # path rows per block of the Euclidean walk and the FK scan
 
 
 def _row_distances(a, b):
@@ -160,16 +162,24 @@ class Euclidean(StateSpace):
         return x + np.sqrt(2.0 * ts)[:, None] * z
 
     def walk(self, x, steps, n, rng):
-        # the increments are scaled and the start added on flat (n, m*d)
-        # rows: the same elementwise operations as a broadcast over the
-        # length-d axis, without numpy's slow inner loop of length d
+        # the increments are drawn in blocks of _ROW_BLOCK rows, which take
+        # the normals of one (n, m*d) draw in the same order, so no
+        # increment array as large as the paths is held.  They are scaled
+        # and the start added on flat (rows, m*d) rows: the same elementwise
+        # operations as a broadcast over the length-d axis, without numpy's
+        # slow inner loop of length d
         d, m = self.dimension, len(steps)
-        incr = rng.standard_normal((n, m * d))
-        incr *= np.repeat(np.sqrt(2.0 * steps), d)
+        scale = np.repeat(np.sqrt(2.0 * steps), d)
+        start = np.tile(x, m)
         pts = np.empty((n, m + 1, d))
         pts[:, 0, :] = x
-        np.cumsum(incr.reshape(n, m, d), axis=1, out=pts[:, 1:, :])
-        pts.reshape(n, -1)[:, d:] += np.tile(x, m)
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = pts[lo:lo + _ROW_BLOCK]
+            b = rows.shape[0]
+            incr = rng.standard_normal((b, m * d))
+            incr *= scale
+            np.cumsum(incr.reshape(b, m, d), axis=1, out=rows[:, 1:, :])
+            rows.reshape(b, -1)[:, d:] += start
         return pts
 
 
@@ -269,16 +279,16 @@ class Sphere2(StateSpace):
         cdf[1:] = -0.5 * (c[:-2] - c[2:])
         return cdf
 
-    def _sphere_angle_quantile(self, t, v):
-        """Polar angles theta with P(Theta <= theta) = v, to 1e-13 in v.
+    @functools.lru_cache(maxsize=64)
+    def _sphere_angle_table(self, t):
+        """(series, its derivative, nodes, table, flat) for the angle law at
+        step t, built once per step length and read-only.
 
-        A theta table on the angle scale sqrt(t) brackets each v; safeguarded
-        Newton steps in theta (not in u, which resolves theta near the pole
-        only to ~1.5e-8) keep the bracket, bisect when a step leaves it, and
-        stop once the residual or the bracket has converged."""
+        ``table`` holds P(Theta <= node) on nodes of the angle scale sqrt(t),
+        and ``flat`` its sqrt(-log(1 - table)), in which the flat-space angle
+        2 sqrt(t) sqrt(-log(1 - v)) / r is exactly linear."""
         cdf = self._sphere_angle_series(t)
         dcdf = npleg.legder(cdf)
-        v = np.asarray(v, dtype=float)
         # P(Theta > 16 sqrt(t)/r) is about exp(-64): one node at pi covers it
         top = min(math.pi, 16.0 * math.sqrt(t) / self.radius)
         nodes = np.linspace(0.0, top, _SPHERE_TABLE)
@@ -287,12 +297,27 @@ class Sphere2(StateSpace):
         table = np.clip(npleg.legval(np.cos(nodes), cdf), 0.0, 1.0)
         table[0], table[-1] = 0.0, 1.0
         np.maximum.accumulate(table, out=table)
+        with np.errstate(divide="ignore"):
+            flat = np.sqrt(-np.log1p(-table))
+        out = (cdf, dcdf, nodes, table, flat)
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    def _sphere_angle_quantile(self, t, v):
+        """Polar angles theta with P(Theta <= theta) = v, to 1e-13 in v.
+
+        A theta table on the angle scale sqrt(t) brackets each v; safeguarded
+        Newton steps in theta (not in u, which resolves theta near the pole
+        only to ~1.5e-8) keep the bracket, bisect when a step leaves it, and
+        stop once the residual or the bracket has converged."""
+        cdf, dcdf, nodes, table, flat = self._sphere_angle_table(t)
+        v = np.asarray(v, dtype=float)
         k = np.clip(np.searchsorted(table, v, side="right"), 1, len(nodes) - 1)
         lo, hi = nodes[k - 1], nodes[k]
         # start by interpolating in sqrt(-log(1 - v)), in which the flat-space
-        # angle 2 sqrt(t) sqrt(-log(1 - v)) / r is exactly linear
+        # angle is exactly linear
         with np.errstate(divide="ignore", invalid="ignore"):
-            flat = np.sqrt(-np.log1p(-table))
             lam = (np.sqrt(-np.log1p(-v)) - flat[k - 1]) / (flat[k] - flat[k - 1])
         theta = lo + np.clip(np.nan_to_num(lam, nan=0.5), 0.0, 1.0) * (hi - lo)
         idx = np.arange(v.size)

@@ -83,6 +83,29 @@ def test_mistyped_override_exits_2(tmp_path, capsys, suite, override):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+_NUCLEUS = '[{"R": [0, 0, 0], "Z": 1}]'
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    '{"m": 1,',  # not JSON
+    "[1]",  # not an object
+    '{"nuclei": ' + _NUCLEUS + "}",  # no m
+    '{"m": 1.5, "nuclei": ' + _NUCLEUS + "}",
+    '{"m": true, "nuclei": ' + _NUCLEUS + "}",
+    '{"m": 1, "nuclei": ' + _NUCLEUS + ', "extra": 1}',
+])
+def test_bad_molecule_file_exits_2(tmp_path, capsys, content):
+    """A molecule file is read through the schema that --set uses."""
+    mol = tmp_path / "mol.json"
+    if content is not None:
+        mol.write_text(content)
+    assert run(["molecule", "--seed", "1", "--out", str(tmp_path / "o"),
+                "--set", f"file={mol}"]) == 2
+    assert not (tmp_path / "o").exists()
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("suite,override", [
     ("kato", "classify_t_grid=[0.5]"),
     ("molecule", "classify_t_grid=[0.5]"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,10 +333,11 @@ def test_fk_bounded_potential_on_sphere():
 
 @pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 def test_chunk_leaves_tile_each_path(x):
-    """Every path's leaves cover [0, t] once, and fk_evaluate counts them all."""
+    """Every path's leaves in the plain refinement cover [0, t] once, and
+    fk_evaluate counts them all."""
     t, size, seed = 0.5, 256, 5
-    ends, leaves = fk._chunk_leaves(
-        E3, HYDROGEN, np.array(x), t, size,
+    ends, leaves = _reference_chunk_leaves(
+        HYDROGEN, np.array(x), t, size,
         streams.substream(seed, streams.TAG_FK, 0), 100, 5e-5, 16,
     )
     assert ends.shape == (size, 3)
@@ -357,9 +359,8 @@ def test_chunk_leaves_tile_each_path(x):
 
 def _reference_chunk_leaves(V, x, t, size, rng, n_steps, tol, max_depth):
     """The refinement written plainly: all children of kept parents, left ones
-    first, then split into far leaves and near intervals."""
-    from katoflow import paths
-
+    first, then split into far leaves and near intervals.  Returns the
+    endpoints and the leaf blocks (path index, length, v_left, v_right)."""
     h = t / n_steps
     _times, pts = paths.sample_paths_batch(E3, x, t, h, size, rng)
     flat = pts.reshape(-1, 3)
@@ -395,22 +396,42 @@ def _reference_chunk_leaves(V, x, t, size, rng, n_steps, tol, max_depth):
     if pid.size:  # the last block alone may end on the singular set
         leaves.append((pid, delta, np.nan_to_num(vl, nan=0.0, posinf=0.0, neginf=0.0),
                        np.nan_to_num(vr, nan=0.0, posinf=0.0, neginf=0.0)))
-    return leaves
+    return pts[:, -1, :], leaves
 
 
 @pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 def test_chunk_leaves_match_the_plain_refinement(x):
-    """Same leaf blocks, in the same order, with the same bits: the per-path
-    action sums, and so every Feynman-Kac estimate, depend on that order."""
-    args = (np.array(x), 0.5, 256)
-    _ends, leaves = fk._chunk_leaves(
+    """The streamed actions are the plain refinement's leaf blocks summed per
+    path block by block, with the same bits: every Feynman-Kac estimate
+    depends on that order.  The chunk spans several scan and walk blocks."""
+    size = 1500
+    assert size > 2 * spaces._ROW_BLOCK
+    args = (np.array(x), 0.5, size)
+    ends, action, n_leaves = fk._chunk_actions(
         E3, HYDROGEN, *args, streams.substream(5, streams.TAG_FK, 0), 100, 5e-5, 16
     )
-    ref = _reference_chunk_leaves(
+    want_ends, leaves = _reference_chunk_leaves(
         HYDROGEN, *args, streams.substream(5, streams.TAG_FK, 0), 100, 5e-5, 16
     )
-    assert len(leaves) == len(ref)
-    for got, want in zip(leaves, ref):
-        assert got[1] == want[1]
-        for a, b in zip((got[0], got[2], got[3]), (want[0], want[2], want[3])):
-            np.testing.assert_array_equal(a, b)
+    want = np.zeros(size)
+    for pid, delta, vl, vr in leaves:
+        want += np.bincount(pid, weights=delta * (vl + vr) / 2.0, minlength=size)
+    np.testing.assert_array_equal(ends, want_ends)
+    np.testing.assert_array_equal(action, want)
+    assert n_leaves == sum(block[0].size for block in leaves)
+
+
+def test_fk_chunk_streams_its_actions_in_bounded_memory():
+    """A 4 096-path hydrogen chunk from the nucleus holds no leaf list and no
+    second path-sized array: its traced peak stays below 20 MB (40 MB when
+    it kept its 1.2 M leaves), and the estimate keeps its bits."""
+    psi = functions.BallIndicator(0.0, 1.0)
+    tracemalloc.start()
+    try:
+        est = fk.fk_evaluate(HYDROGEN, psi, np.zeros(3), 0.5, 4096, seed=1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert (est.value, est.stderr) == (0.5817598289735698, 0.018336931631067407)
+    assert est.action_integrator["n_leaves"] == 1231485

@@ -155,3 +155,23 @@ def test_bridge_midpoints_match_the_expression_form_bit_for_bit():
     got = paths.bridge_midpoints(xl, xr, 0.037, np.random.default_rng(8))
     noise = np.random.default_rng(8).standard_normal(xl.shape)
     assert np.array_equal(got, 0.5 * (xl + xr) + math.sqrt(0.037 / 2.0) * noise)
+
+
+@pytest.mark.parametrize("d,grid_step", [(3, 0.1), (1, 0.3)])
+def test_blocked_euclidean_walk_matches_one_draw_bit_for_bit(d, grid_step):
+    """The walk draws its normals a block of rows at a time; they are the
+    normals of one (n, m*d) draw, in the same order, so no path moves."""
+    n = 2 * spaces._ROW_BLOCK + 37  # two full blocks and a short one
+    space = spaces.euclidean(d)
+    x = np.linspace(-0.7, 1.3, d)
+    _times, pts = paths.sample_paths_batch(space, x, 1.0, grid_step, n,
+                                           np.random.default_rng(11))
+    _t, steps = paths._grid(1.0, grid_step)
+    m = len(steps)
+    incr = np.random.default_rng(11).standard_normal((n, m * d))
+    incr *= np.repeat(np.sqrt(2.0 * steps), d)
+    want = np.empty((n, m + 1, d))
+    want[:, 0, :] = x
+    np.cumsum(incr.reshape(n, m, d), axis=1, out=want[:, 1:, :])
+    want.reshape(n, -1)[:, d:] += np.tile(x, m)
+    assert np.array_equal(pts, want)

@@ -211,6 +211,12 @@ def test_sphere_angle_quantile_converges_to_residual_tolerance(t):
     assert np.array_equal(S2._sphere_angle_quantile(t, [0.0]), [0.0])
 
 
+def test_sphere_angle_table_is_built_once_per_step_and_read_only():
+    table = S2._sphere_angle_table(0.005)
+    assert S2._sphere_angle_table(0.005) is table
+    assert not any(a.flags.writeable for a in table)
+
+
 @pytest.mark.parametrize("t", [1e-3, 0.05, 1.0])
 def test_sphere_angle_cdf_matches_kernel_quadrature(t):
     def dens(a):
