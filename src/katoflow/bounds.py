@@ -152,7 +152,7 @@ def pair_grid_sphere(space):
 
 
 def _semigroup_values(space, t, f, pairs):
-    """p -> (P_t f(p), 0.0) at the pair points, by exact quadrature.
+    """p -> P_t f(p) at the pair points, by exact quadrature.
 
     P_t f is evaluated once per distinct point key: the coordinate on
     euclidean(1), the polar angle of a zonal f on S^2."""
@@ -176,25 +176,30 @@ def _semigroup_values(space, t, f, pairs):
 
     keys = np.array(sorted({key(p) for pair in pairs for p in pair}))
     table = dict(zip(keys.tolist(), evaluate(keys).tolist()))
-    return lambda p: (table[key(p)], 0.0)
+    return lambda p: table[key(p)]
 
 
-def _pair_rows(space, pairs, values):
-    """(x, y, d, |value difference|, stderr) per pair with d = d(x, y) > 0;
-    ``values(p)`` is the (value, stderr) at a point."""
-    for x, y in pairs:
+def _separated(space, pairs):
+    """(index, x, y, d(x, y)) of each pair whose points differ."""
+    out = []
+    for i, (x, y) in enumerate(pairs):
         dist = float(space.distance_batch(np.asarray(x, float), np.asarray(y, float)))
-        if dist == 0:
-            continue
-        (vx, sx), (vy, sy) = values(x), values(y)
-        yield x, y, dist, abs(vx - vy), math.hypot(sx, sy)
+        if dist > 0:
+            out.append((i, x, y, dist))
+    return out
+
+
+def _exact_rows(space, pairs, value):
+    """(x, y, d, |value(x) - value(y)|, stderr 0) per pair with d(x, y) > 0."""
+    return [(x, y, dist, abs(value(x) - value(y)), 0.0)
+            for _i, x, y, dist in _separated(space, pairs)]
 
 
 def _worst_pair(rows, alpha, norm):
     """(sup |difference| / (d^alpha norm), its stderr on that scale, its pair)
-    over ``_pair_rows``; the pair is None when every quotient is 0.  A NaN
-    quotient is returned as the sup, so a pair without an estimate is never
-    passed over."""
+    over rows (x, y, d, |difference|, stderr); the pair is None when every
+    quotient is 0.  A NaN quotient is returned as the sup, so a pair without
+    an estimate is never passed over."""
     best, best_se, witness = 0.0, 0.0, None
     for x, y, dist, diff, se in rows:
         scale = dist**alpha * norm
@@ -223,9 +228,9 @@ def holder_quotient(space, t, alpha, f, pairs=None):
             if isinstance(space, Euclidean)
             else pair_grid_sphere(space)
         )
-    values = _semigroup_values(space, t, f, pairs)
+    value = _semigroup_values(space, t, f, pairs)
     best, _se, witness = _worst_pair(
-        _pair_rows(space, pairs, values), alpha, f.sup_norm
+        _exact_rows(space, pairs, value), alpha, f.sup_norm
     )
     cap = holder_cap(space.ricci_lower_bound, t, alpha)
     return BoundReport(
@@ -322,25 +327,29 @@ def corollary_B_constant(vj_terms, vij_terms, K, alpha, t):
 # ---------------------------------------------------------------------------
 
 
-def _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, workers, kato0):
-    """p -> Feynman-Kac (value, stderr) of e^{-tH_V}Phi at each pair point.
+def _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers, kato0):
+    """(x, y, d, |difference|, stderr) per pair with d(x, y) > 0, where the
+    difference of e^{-tH_V}Phi at x and y is one coupled Feynman-Kac
+    estimate: both legs share the pair's Brownian increments.
 
-    The i-th distinct point in sorted order draws from substream (seed, i);
-    every point shares the alpha=0 certificate ``kato0`` that admits V.  The
-    ``workers`` split the points, so each estimate runs its chunks in turn
-    and the values do not depend on the worker count."""
-    points = sorted({tuple(np.asarray(p, dtype=float)) for pair in pairs for p in pair})
+    Pair i of ``pairs`` draws from substream (seed, i), and every pair shares
+    the alpha=0 certificate ``kato0`` that admits V.  The ``workers`` split
+    the pairs, so each estimate runs its chunks in turn and the rows do not
+    depend on the worker count."""
+    separated = _separated(V.space, pairs)
 
-    def estimate(item):
-        i, key = item
+    def difference(item):
+        i, x, y, _dist = item
         est = fk.fk_evaluate(
-            V, phi, np.array(key), t, n_paths, seed=streams.combine_seed(seed, i),
-            kato0=kato0, workers=1, check_bound=False,
+            V, phi, np.array([x, y], dtype=float), t, n_paths,
+            seed=streams.combine_seed(seed, i), kato0=kato0, workers=1,
+            check_bound=False,
         )
-        return est.value, est.stderr
+        return float(abs(est.value[2])), float(est.stderr[2])
 
-    table = dict(zip(points, streams.map_ordered(estimate, enumerate(points), workers)))
-    return lambda p: table[tuple(np.asarray(p, dtype=float))]
+    diffs = streams.map_ordered(difference, separated, workers)
+    return [(x, y, dist, diff, se)
+            for (_i, x, y, dist), (diff, se) in zip(separated, diffs)]
 
 
 def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, workers=1):
@@ -349,8 +358,8 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
 
     V = 0 collapses to the heat-semigroup Hoelder check evaluated by exact
     quadrature (so it is holder_quotient's report); singular V goes through
-    the Feynman-Kac estimator with independent substreams per evaluation
-    point."""
+    the Feynman-Kac estimator, one run per pair whose two legs share their
+    Brownian increments, so each row's stderr is that of its difference."""
     space = V.space
     K = space.ricci_lower_bound
     if V.is_zero:
@@ -365,8 +374,7 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
     khash = fk.khashminskii_certify(V, t, kato0=kato0)
     a_val = A_constant(V, K, alpha, t, khash.bound_on_C_exp)
     cap = holder_cap(K, t, alpha) + a_val
-    values = _fk_at_pair_points(V, phi, t, pairs, n_paths, seed, workers, kato0)
-    pair_rows = list(_pair_rows(space, pairs, values))
+    pair_rows = _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers, kato0)
     rows = []
     for x, y, dist, lhs, se in pair_rows:
         rhs = cap * phi.sup_norm * dist**alpha
@@ -412,10 +420,10 @@ def verify_eigenfunction_corollary(psi, lam, V, alpha, t, pairs):
         * psi.sup_norm
     )
 
-    def values(p):
-        return float(psi(np.asarray(p, dtype=float)[None, :])[0]), 0.0
+    def value(p):
+        return float(psi(np.asarray(p, dtype=float)[None, :])[0])
 
-    worst, _se, witness = _worst_pair(_pair_rows(V.space, pairs, values), alpha, 1.0)
+    worst, _se, witness = _worst_pair(_exact_rows(V.space, pairs, value), alpha, 1.0)
     return BoundReport(
         bound_name="eigenfunction_holder",
         parameters={"lambda": lam, "K": K, "alpha": alpha, "t": t},
@@ -481,10 +489,8 @@ def calibrate_molecular_constants(measurements, alpha, m, r_exponent):
 
 def measured_holder_quotient_mc(V, phi, alpha, t, pairs, n_paths, seed, workers=1):
     """(max quotient, stderr at the witness) of e^{-tH_V}Phi over a pair grid."""
-    values = _fk_at_pair_points(
+    rows = _fk_pair_rows(
         V, phi, t, pairs, n_paths, seed, workers, pot.kato_integral(V, 0.0, t)
     )
-    best, best_se, _pair = _worst_pair(
-        _pair_rows(V.space, pairs, values), alpha, phi.sup_norm
-    )
+    best, best_se, _pair = _worst_pair(rows, alpha, phi.sup_norm)
     return best, best_se

@@ -33,10 +33,10 @@ _MAX_DEPTH = 16  # bridge refinement levels below the path grid
 
 @dataclass
 class SemigroupEstimate:
-    x: np.ndarray
+    x: np.ndarray  # a start (dim,), or a pair (2, dim)
     t: float
-    value: float
-    stderr: float
+    value: float  # for a pair, the array (leg x, leg y, difference)
+    stderr: float  # for a pair, an array like value
     n_paths: int
     action_integrator: dict
     seed: object  # int or tuple of ints
@@ -119,8 +119,9 @@ def _scan_skeleton(V, nodes, cols, h, action):
     return n_far, tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _chunk_actions(space, V, x, t, size, rng, n_steps, tol, max_depth):
-    """Simulate a chunk of paths and integrate V along each.
+def _chunk_actions(V, pts, h, rng, tol, max_depth):
+    """Integrate V along a chunk of paths ``pts`` of shape (size, cols, dim),
+    sampled on a grid of step h.
 
     Returns (endpoints, action of each path, number of leaves).  A leaf is
     one interval of the final partition, and its trapezoid is added to its
@@ -129,13 +130,12 @@ def _chunk_actions(space, V, x, t, size, rng, n_steps, tol, max_depth):
     halves and the far children, left ones before right ones.  Each block of
     a level is one bincount over the level, with 0.0 for its non-members:
     bincount adds a path's weights in order, so the sums are those of the
-    blocks themselves.
+    blocks themselves.  ``pts`` is left as it was; when the caller keeps no
+    reference to it, it is freed before the refinement.
     """
-    h = t / n_steps
-    cols = n_steps + 1
-    _times, pts = paths.sample_paths_batch(space, x, t, h, size, rng)
+    size, cols, dim = pts.shape
     ends = pts[:, -1, :].copy()
-    nodes = pts.reshape(-1, space.embedding_dim)
+    nodes = pts.reshape(-1, dim)
     action = np.empty(size)
     n_leaves, near = _scan_skeleton(V, nodes, cols, h, action)
     if near is None:
@@ -240,26 +240,58 @@ def fk_evaluate(
     workers=1,
     check_bound=True,
 ):
-    """Monte Carlo estimate of e^{-tH_V} psi (x)."""
+    """Monte Carlo estimate of e^{-tH_V} psi (x).
+
+    ``x`` of shape (2, dim) is a pair (x, y), estimated under the synchronous
+    coupling: each chunk draws one walk from x, integrates V along it, carries
+    the same nodes to y by an isometry of the space and integrates V again.
+    ``value`` and ``stderr`` are then length-3 arrays for the weights
+    (w_x, w_y, w_x - w_y), so the difference gets its own stderr."""
     space = V.space
-    x = space.check_point(x)
+    x = np.asarray(x, dtype=float)
+    pair = x.ndim == 2 and x.shape[0] == 2
+    x = np.array([space.check_point(p) for p in x]) if pair else space.check_point(x)
     if t <= 0:
         raise TimeDomainError("t must be > 0")
     kato0 = _kato_gate(V, t, kato0)
     n_steps = _grid_steps(t, grid_step)
     grid_step = t / n_steps
 
-    def chunk(rng, size, _k):
-        ends, action, n_leaves = _chunk_actions(
-            space, V, x, t, size, rng, n_steps, _TOL, _MAX_DEPTH
-        )
+    start = x[0] if pair else x
+
+    def walk(rng, size):
+        return paths.sample_paths_batch(space, start, t, grid_step, size, rng)[1]
+
+    def weights(ends, action):
         w = np.exp(-action)
         w *= np.asarray(psi(ends), dtype=float)
+        return w
+
+    def chunk(rng, size, _k):
+        # the skeleton goes straight to _chunk_actions, which frees it
+        # before refining
+        ends, action, n_leaves = _chunk_actions(
+            V, walk(rng, size), grid_step, rng, _TOL, _MAX_DEPTH
+        )
+        w = weights(ends, action)
         return size, w.sum(), (w * w).sum(), n_leaves
 
-    parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
+    def pair_chunk(rng, size, _k):
+        pts = walk(rng, size)
+        ends, action, n_x = _chunk_actions(V, pts, grid_step, rng, _TOL, _MAX_DEPTH)
+        w_x = weights(ends, action)
+        space.carry(pts, x[0], x[1])
+        ends, action, n_y = _chunk_actions(V, pts, grid_step, rng, _TOL, _MAX_DEPTH)
+        w_y = weights(ends, action)
+        w = np.stack((w_x, w_y, w_x - w_y))
+        return size, w.sum(axis=1), (w * w).sum(axis=1), n_x + n_y
+
+    parts = streams.map_chunks(
+        pair_chunk if pair else chunk, n_paths, seed, streams.TAG_FK, workers=workers
+    )
     n, value, stderr = streams.merge_chunks(p[:3] for p in parts)
-    value, stderr = float(value), float(stderr)
+    if not pair:
+        value, stderr = float(value), float(stderr)
     flags = []
     sup_psi = getattr(psi, "sup_norm", None)
     if check_bound and sup_psi is not None:
@@ -270,11 +302,14 @@ def fk_evaluate(
             c_exp = khashminskii_certify(V, t, kato0=kato0).bound_on_C_exp
         elif V.lower_bound is not None:
             c_exp = math.exp(-min(V.lower_bound, 0.0) * t)
-        if c_exp is not None and abs(value) - 3.0 * stderr > c_exp * sup_psi:
+        # a pair's legs are each bounded; their difference is not checked
+        legs = np.atleast_1d(value)[:2]
+        excess = np.abs(legs) - 3.0 * np.atleast_1d(stderr)[:2]
+        if c_exp is not None and excess.max() > c_exp * sup_psi:
             flags.append("integration_bias_warning")
             warnings.warn(
                 "estimate exceeds the Khashminskii bound: "
-                f"|{value:g}| > {c_exp * sup_psi:g}",
+                f"|{legs[excess.argmax()]:g}| > {c_exp * sup_psi:g}",
                 stacklevel=2,
             )
     return SemigroupEstimate(

@@ -407,23 +407,7 @@ def _quadrature_bound(V, alpha, t, extra_weight=None):
     best = int(np.argmax(vals))
     witness = np.asarray(cands[best], dtype=float)
     bound = vals[best]
-    # crude resolution + Lipschitz gap estimate for the sup search
     details = {"n_candidates": len(cands), "candidate_values": vals}
-    if len(cands) > 1 and math.isfinite(bound):
-        arr = np.array([np.asarray(c, float) for c in cands])
-        spacing = 0.0
-        for c in arr:
-            others = np.linalg.norm(arr - c, axis=1)
-            others = others[others > 0]
-            if others.size:
-                spacing = max(spacing, float(others.min()))
-        lip = 0.0
-        for c, v in zip(arr, vals):
-            if math.isfinite(v):
-                probe = c + 1e-3
-                lip = max(lip, abs(objective(probe) - v) / (1e-3 * math.sqrt(c.size)))
-        details["sup_gap_upper_estimate"] = bound + lip * spacing
-        details["candidate_spacing"] = spacing
     return bound, witness, details
 
 

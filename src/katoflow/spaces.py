@@ -51,7 +51,8 @@ class StateSpace:
     Each geometry is a frozen dataclass with a label ``kind``, ``dimension``,
     ``embedding_dim``, the curvature parameter ``ricci_lower_bound`` (K),
     ``check_point``, ``distance_batch``, ``kernel_at(t, dist)``, one Brownian
-    ``move(t, pts, rng)`` per row, ``total_mass(t)`` and ``ball_volume``."""
+    ``move(t, pts, rng)`` per row, ``carry(pts, x, y)`` by an isometry that
+    takes x to y, ``total_mass(t)`` and ``ball_volume``."""
 
     def check_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -156,6 +157,10 @@ class Euclidean(StateSpace):
 
     def move(self, t, pts, rng):
         return pts + math.sqrt(2.0 * t) * rng.standard_normal(pts.shape)
+
+    def carry(self, pts, x, y):
+        """Translate the points ``pts`` (..., dimension) in place by y - x."""
+        pts += y - x
 
     def _sample_each(self, ts, x, rng):
         z = rng.standard_normal((ts.size, self.dimension))
@@ -365,6 +370,22 @@ class Sphere2(StateSpace):
         p = np.cos(ang) * pts + np.sin(ang) * r * u
         p *= r / np.linalg.norm(p, axis=1, keepdims=True)
         return p
+
+    def carry(self, pts, x, y):
+        """Rotate the points ``pts`` (..., 3) in place about the axis x × y by
+        the angle from x to y; y = -x takes a half turn about an axis normal
+        to x."""
+        u, v = x / self.radius, y / self.radius
+        axis = np.cross(u, v)
+        sin, cos = float(np.linalg.norm(axis)), float(u @ v)
+        if sin == 0.0:
+            if cos > 0.0:
+                return
+            axis = np.cross(u, np.eye(3)[np.argmin(np.abs(u))])
+        a = axis / np.linalg.norm(axis)
+        k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+        rot = cos * np.eye(3) + sin * k + (1.0 - cos) * np.outer(a, a)
+        pts[...] = pts @ rot.T
 
 
 def euclidean(d):

@@ -326,3 +326,29 @@ def test_pair_point_estimates_do_not_depend_on_workers():
     assert len(theorem_rows[0]) > 1
     assert theorem_rows[1] == theorem_rows[0] and theorem_rows[2] == theorem_rows[0]
     assert quotients[1] == quotients[0] and quotients[2] == quotients[0]
+
+
+def test_user_pair_list_rows_skip_zero_distance_and_do_not_depend_on_workers():
+    """A user's pair list with a zero-distance pair and a repeated pair: the
+    zero-distance pair gets no row, the repeat gets its own substream, and
+    the theorem rows and the Monte Carlo quotient are the same at 1, 2 and 8
+    workers."""
+    phi = functions.BallIndicator(np.zeros(3), 1.0)
+    a, b = np.array([0.5, 0.0, 0.0]), np.array([0.75, 0.0, 0.0])
+    pairs = [(a, b), (a, a.copy()), (a, b), (np.zeros(3), b)]
+    theorem_rows, quotients = [], []
+    for workers in (1, 2, 8):
+        report = bounds.verify_main_theorem(
+            HYDROGEN, phi, 0.5, 0.5, pairs=pairs, n_paths=128, seed=4,
+            workers=workers,
+        )
+        theorem_rows.append(report.details["rows"])
+        quotients.append(bounds.measured_holder_quotient_mc(
+            HYDROGEN, phi, 0.5, 0.5, pairs, 128, 4, workers=workers
+        ))
+    rows = theorem_rows[0]
+    assert len(rows) == 3
+    assert [r["x"] for r in rows] == [a.tolist(), a.tolist(), [0.0, 0.0, 0.0]]
+    assert rows[0]["lhs"] != rows[1]["lhs"]
+    assert theorem_rows[1] == rows and theorem_rows[2] == rows
+    assert quotients[1] == quotients[0] and quotients[2] == quotients[0]

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from katoflow import feynman_kac as fk
-from katoflow import functions, paths, potentials, spaces, streams
-from katoflow.errors import DivergentBoundError, NonKatoError, TimeDomainError
+from katoflow import bounds, functions, paths, potentials, spaces, streams
+from katoflow.errors import (
+    DivergentBoundError,
+    InvalidPointError,
+    NonKatoError,
+    TimeDomainError,
+)
 
 E1 = spaces.euclidean(1)
 E3 = spaces.euclidean(3)
@@ -407,9 +412,9 @@ def test_chunk_leaves_match_the_plain_refinement(x):
     size = 1500
     assert size > 2 * spaces._ROW_BLOCK
     args = (np.array(x), 0.5, size)
-    ends, action, n_leaves = fk._chunk_actions(
-        E3, HYDROGEN, *args, streams.substream(5, streams.TAG_FK, 0), 100, 5e-5, 16
-    )
+    rng = streams.substream(5, streams.TAG_FK, 0)
+    _times, pts = paths.sample_paths_batch(E3, np.array(x), 0.5, 0.005, size, rng)
+    ends, action, n_leaves = fk._chunk_actions(HYDROGEN, pts, 0.005, rng, 5e-5, 16)
     want_ends, leaves = _reference_chunk_leaves(
         HYDROGEN, *args, streams.substream(5, streams.TAG_FK, 0), 100, 5e-5, 16
     )
@@ -435,3 +440,76 @@ def test_fk_chunk_streams_its_actions_in_bounded_memory():
     assert peak < 20e6
     assert (est.value, est.stderr) == (0.5817598289735698, 0.018336931631067407)
     assert est.action_integrator["n_leaves"] == 1231485
+
+
+@pytest.mark.parametrize("x, y, ratio", [
+    ((0.5, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),
+    ((0.5, 0.0, 0.0), (0.5 + 1.0 / 64.0, 0.0, 0.0), 0.1),
+    ((0.0, 0.5, 0.0), (0.0, 0.0, 1.5), 1.0),
+], ids=["d=1/2", "d=1/64", "across"])
+def test_coupled_pair_difference_is_calibrated_against_the_ground_state(x, y, ratio):
+    """A pair's difference of e^{-tH_V}psi_0 is e^{t/4}(psi_0(x) - psi_0(y)):
+    over 100 seeds of 1 000 paths its z has mean within 0.3 and sd within
+    [0.8, 1.2], so the stderr is that of the difference.  The legs share
+    their increments, so the difference's stderr is below ``ratio`` times
+    the legs' hypot, which independent legs would give: a tenth at
+    d = 1/64."""
+    t = 0.5
+    pair = np.array([x, y])
+    exact = math.exp(t / 4.0) * (PSI_H(pair[:1])[0] - PSI_H(pair[1:])[0])
+    ests = [fk.fk_evaluate(HYDROGEN, PSI_H, pair, t, 1_000, seed=seed)
+            for seed in range(100)]
+    z = [(est.value[2] - exact) / est.stderr[2] for est in ests]
+    assert abs(np.mean(z)) <= 0.3
+    assert 0.8 <= np.std(z) <= 1.2
+    coupled = np.mean([est.stderr[2] for est in ests])
+    legs = np.mean([math.hypot(*est.stderr[:2]) for est in ests])
+    assert coupled < ratio * legs
+
+
+def test_a_pair_holds_its_skeleton_in_little_more_memory_than_one_start():
+    """A pair chunk keeps the shared skeleton through leg x's refinement, and
+    its traced peak stays within 1.25 times that of a single start."""
+    peaks = []
+    for x in (np.array([-1.0 / 256, 0.0, 0.0]),
+              np.array([[-1.0 / 256, 0.0, 0.0], [1.0 / 256, 0.0, 0.0]])):
+        tracemalloc.start()
+        try:
+            fk.fk_evaluate(HYDROGEN, PSI_H, x, 0.5, 1024, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_pair_estimate_reports_paths_leaves_and_flags():
+    """A pair estimate is a SemigroupEstimate whose legs are the single
+    estimates' law: n_paths counts pairs, n_leaves counts both legs."""
+    pair = np.array([[0.3, 0.0, 0.0], [0.0, 0.4, 0.0]])
+    est = fk.fk_evaluate(HYDROGEN, PSI_H, pair, 0.1, 64, seed=3)
+    assert isinstance(est.n_paths, int) and est.n_paths == 64
+    assert est.value.shape == est.stderr.shape == (3,)
+    assert est.value[2] == pytest.approx(est.value[0] - est.value[1], abs=1e-12)
+    assert est.flags == []
+    legs = [fk.fk_evaluate(HYDROGEN, PSI_H, p, 0.1, 64, seed=3) for p in pair]
+    assert est.value[0] == legs[0].value  # leg x draws as a single start does
+    assert est.action_integrator["n_leaves"] > legs[0].action_integrator["n_leaves"]
+    with pytest.raises(InvalidPointError):
+        fk.fk_evaluate(HYDROGEN, PSI_H, np.zeros((3, 3)), 0.1, 64, seed=3)
+
+
+def test_pair_on_the_sphere_is_carried_by_a_rotation():
+    """On S^2 the pair's nodes are rotated from x to y, so leg y is a
+    Brownian path from y: both legs and their difference match the zonal
+    series of e^{-ct} P_t 1_{z>0} for a constant potential c."""
+    s2 = spaces.sphere2(1.0)
+    c, t = 0.6, 0.5
+    thetas = np.array([1.2, 2.0])
+    pair = np.stack([np.sin(thetas), np.zeros(2), np.cos(thetas)], axis=1)
+    psi = functions.HemisphereIndicator()
+    est = fk.fk_evaluate(potentials.ConstantPotential(s2, c), psi, pair, t,
+                         4000, seed=2, grid_step=0.05)
+    exact = math.exp(-c * t) * bounds.sphere_semigroup_zonal(s2, t, psi, thetas)
+    exact = np.append(exact, exact[0] - exact[1])
+    assert np.all(np.abs(est.value - exact) < 4.0 * est.stderr)
+    assert est.stderr[2] < math.hypot(*est.stderr[:2])

@@ -209,6 +209,20 @@ def test_kato_subadditivity_two_nuclei():
     assert b >= max(b1, b2)  # the sup search found at least the best center
 
 
+def test_kato_quadrature_two_nuclei_keeps_its_bits():
+    """The two-nucleus quadrature bound, witness and candidate values, bit for
+    bit: the sup search evaluates each candidate once and nothing more."""
+    duo = potentials.MolecularPotential(
+        1, [(0.0, 0.0, 0.0), (1.4, 0.0, 0.0)], [1.0, 2.0]
+    )
+    cert = potentials.kato_integral(duo, 0.5, 0.5, method="quadrature")
+    assert cert.bound == 4.334583971524279
+    assert cert.sup_witness.tolist() == [1.4, 0.0, 0.0]
+    assert cert.details["candidate_values"] == [
+        2.976067963103027, 4.334583971524279, 2.976067963103027, 2.571224593197447
+    ]
+
+
 @pytest.mark.parametrize("alpha,expected_status", [
     (0.9, "kato"),
     (1.0, "divergent"),
