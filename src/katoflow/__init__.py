@@ -38,4 +38,4 @@ from .bounds import (  # noqa: F401
     corollary_B_constant,
     molecular_bound,
 )
-from .reports import BoundReport  # noqa: F401
+from .reports import Check  # noqa: F401

@@ -8,6 +8,7 @@ check is one-sided, which is exactly what that gives us.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -18,7 +19,7 @@ from . import streams
 from . import potentials as pot
 from .spaces import Euclidean
 from .errors import DivergentBoundError, TimeDomainError
-from .reports import HOLDS, BoundReport, one_sided_verdict
+from .reports import HOLDS, VIOLATED, Check, one_sided_verdict
 
 _QUAD_TOL = 1e-9  # slack for deterministic quadrature comparisons
 
@@ -213,9 +214,7 @@ def _worst_pair(rows, alpha, norm):
 
 def lipschitz_quotient(space, t, f, pairs=None):
     """Measured sup |P_t f(x)-P_t f(y)| / (d(x,y) ||f||) against F_K(t)."""
-    report = holder_quotient(space, t, 1.0, f, pairs=pairs)
-    report.bound_name = "lipschitz_smoothing"
-    return report
+    return holder_quotient(space, t, 1.0, f, pairs=pairs)
 
 
 def holder_quotient(space, t, alpha, f, pairs=None):
@@ -232,16 +231,12 @@ def holder_quotient(space, t, alpha, f, pairs=None):
     best, _se, witness = _worst_pair(
         _exact_rows(space, pairs, value), alpha, f.sup_norm
     )
-    cap = holder_cap(space.ricci_lower_bound, t, alpha)
-    return BoundReport(
-        bound_name="holder_smoothing",
-        parameters={"K": space.ricci_lower_bound, "t": t, "alpha": alpha},
-        theoretical_value=cap,
-        empirical_value=best,
-        stderr=0.0,
-        verdict=one_sided_verdict(best, cap, 0.0, _QUAD_TOL),
-        witness=witness,
-        details={"n_pairs": len(pairs)},
+    K = space.ricci_lower_bound
+    return Check(
+        "holder",
+        {"space": space.kind, "f": type(f).__name__, "t": t, "alpha": alpha},
+        best, holder_cap(K, t, alpha), tol=_QUAD_TOL,
+        details={"K": K, "witness": witness, "n_pairs": len(pairs)},
     )
 
 
@@ -357,16 +352,18 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
     with K the Ricci lower bound of V's space.
 
     V = 0 collapses to the heat-semigroup Hoelder check evaluated by exact
-    quadrature (so it is holder_quotient's report); singular V goes through
+    quadrature (so it is holder_quotient's check); singular V goes through
     the Feynman-Kac estimator, one run per pair whose two legs share their
-    Brownian increments, so each row's stderr is that of its difference."""
+    Brownian increments, so each pair's stderr is that of its difference.
+    The check holds iff every pair holds at 3 of its stderrs; its stderr is
+    the largest pair stderr, on the scale of the differences."""
     space = V.space
     K = space.ricci_lower_bound
+    parameters = {"potential": V.name, "alpha": alpha, "t": t}
     if V.is_zero:
-        report = holder_quotient(space, t, alpha, phi, pairs=pairs)
-        report.bound_name = "main_theorem_v0_reduction"
-        report.details["A"] = 0.0
-        return report
+        check = holder_quotient(space, t, alpha, phi, pairs=pairs)
+        return replace(check, table="theorem", parameters=parameters,
+                       details={**check.details, "A": 0.0})
     if pairs is None:
         anchors = [np.asarray(c, dtype=float) for c in V.sup_candidates()]
         pairs = pair_grid_euclidean(space, anchors=anchors, scale=1.0, k_max=6)
@@ -375,37 +372,27 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
     a_val = A_constant(V, K, alpha, t, khash.bound_on_C_exp)
     cap = holder_cap(K, t, alpha) + a_val
     pair_rows = _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers, kato0)
-    rows = []
-    for x, y, dist, lhs, se in pair_rows:
-        rhs = cap * phi.sup_norm * dist**alpha
-        rows.append(
-            {
-                "x": list(np.asarray(x, float)),
-                "y": list(np.asarray(y, float)),
-                "dist": dist,
-                "lhs": lhs,
-                "rhs": rhs,
-                "stderr": se,
-                "verdict": one_sided_verdict(lhs, rhs, se),
-            }
-        )
+    rows = [
+        {
+            "x": list(np.asarray(x, float)),
+            "y": list(np.asarray(y, float)),
+            "dist": dist,
+            "lhs": lhs,
+            "rhs": cap * phi.sup_norm * dist**alpha,
+            "stderr": se,
+        }
+        for x, y, dist, lhs, se in pair_rows
+    ]
+    held = all(
+        one_sided_verdict(r["lhs"], r["rhs"], r["stderr"], 0.0) == HOLDS for r in rows
+    )
     worst_q, _se, witness = _worst_pair(pair_rows, alpha, phi.sup_norm)
-    return BoundReport(
-        bound_name="main_theorem_holder",
-        parameters={
-            "K": K,
-            "alpha": alpha,
-            "t": t,
-            "A": a_val,
-            "c_exp": khash.bound_on_C_exp,
-            "n_paths": n_paths,
-        },
-        theoretical_value=cap,
-        empirical_value=worst_q,
+    return Check(
+        "theorem", parameters, worst_q, cap,
         stderr=max((r["stderr"] for r in rows), default=0.0),
-        verdict=HOLDS if all(r["verdict"] == HOLDS for r in rows) else "violated",
-        witness=witness,
-        details={"rows": rows},
+        verdict=HOLDS if held else VIOLATED,
+        details={"K": K, "A": a_val, "c_exp": khash.bound_on_C_exp,
+                 "n_paths": n_paths, "witness": witness, "rows": rows},
     )
 
 
@@ -424,14 +411,8 @@ def verify_eigenfunction_corollary(psi, lam, V, alpha, t, pairs):
         return float(psi(np.asarray(p, dtype=float)[None, :])[0])
 
     worst, _se, witness = _worst_pair(_exact_rows(V.space, pairs, value), alpha, 1.0)
-    return BoundReport(
-        bound_name="eigenfunction_holder",
-        parameters={"lambda": lam, "K": K, "alpha": alpha, "t": t},
-        theoretical_value=cap,
-        empirical_value=worst,
-        verdict=one_sided_verdict(worst, cap),
-        witness=witness,
-    )
+    return Check("eigenfunction", {"lambda": lam, "alpha": alpha, "t": t}, worst, cap,
+                 details={"K": K, "witness": witness})
 
 
 # ---------------------------------------------------------------------------

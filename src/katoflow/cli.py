@@ -10,9 +10,11 @@ invalid configuration.
 import argparse
 import csv
 import datetime
+import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,10 @@ from . import bounds, coupling, feynman_kac as fk, functions
 from . import potentials as pot
 from . import spaces
 from .errors import ConfigError, KatoflowError, TooSmallTimeError
-from .reports import HOLDS, BoundReport, jsonable, one_sided_verdict, two_sided_verdict
+from .reports import (
+    CATEGORICAL, HOLDS, INCONCLUSIVE, LOWER, TWO_SIDED, UPPER, VIOLATED, Check,
+    jsonable, one_sided_verdict,
+)
 
 
 # a molecule file's fields, checked as --set checks the suite's m and nuclei
@@ -106,13 +111,17 @@ def _psi_from(spec):
 
 
 # ---------------------------------------------------------------------------
-# suite implementations: each returns ({table: rows}, reports); a table's
-# columns are the keys of its rows, in order
+# suite implementations: each returns its list of Checks; the checks of one
+# table share their parameter keys, in order
 # ---------------------------------------------------------------------------
 
 
 def suite_kernel_checks(p, seed, workers):
-    rows = []
+    def check(name, space, t, value, tolerance, sidedness):
+        return Check("kernel_checks", {"check": name, "space": space, "t": t},
+                     value, tolerance, sidedness=sidedness)
+
+    checks = []
     spaces_under_test = [
         ("euclidean(1)", spaces.euclidean(1), np.zeros(1)),
         ("euclidean(3)", spaces.euclidean(3), np.zeros(3)),
@@ -121,45 +130,20 @@ def suite_kernel_checks(p, seed, workers):
     for t in p["t_grid"]:
         for name, sp, x in spaces_under_test:
             defect = spaces.conservativeness_defect(sp, t, x)
-            rows.append(
-                {
-                    "check": "conservativeness",
-                    "space": name,
-                    "t": t,
-                    "value": defect,
-                    "tolerance": 1e-8,
-                    "verdict": HOLDS if defect < 1e-8 else "violated",
-                }
-            )
+            checks.append(check("conservativeness", name, t, defect, 1e-8, UPPER))
     e1 = spaces.euclidean(1)
     ck = spaces.chapman_kolmogorov_defect(
         e1, p["t_grid"][0], p["t_grid"][-1], np.array([0.2]), np.array([-0.4])
     )
-    rows.append(
-        {
-            "check": "chapman_kolmogorov",
-            "space": "euclidean(1)",
-            "t": p["t_grid"][0],
-            "value": ck,
-            "tolerance": 1e-8,
-            "verdict": HOLDS if ck < 1e-8 else "violated",
-        }
+    checks.append(
+        check("chapman_kolmogorov", "euclidean(1)", p["t_grid"][0], ck, 1e-8, UPPER)
     )
     rng = np.random.default_rng(seed)
     for name, sp, x in spaces_under_test:
         y = sp.sample_transition(0.7, x, rng)
         z = sp.sample_transition(0.7, y, rng)
         sym = abs(sp.heat_kernel(0.7, y, z) - sp.heat_kernel(0.7, z, y))
-        rows.append(
-            {
-                "check": "symmetry",
-                "space": name,
-                "t": 0.7,
-                "value": sym,
-                "tolerance": 0.0,
-                "verdict": HOLDS if sym == 0.0 else "violated",
-            }
-        )
+        checks.append(check("symmetry", name, 0.7, sym, 0.0, UPPER))
     # KS marginal of the transition sampler
     from scipy import stats as sstats  # lazy: ~0.6 s to import
 
@@ -168,80 +152,50 @@ def suite_kernel_checks(p, seed, workers):
     pval = float(
         sstats.kstest(samples[:, 0], "norm", args=(0.0, math.sqrt(1.2))).pvalue
     )
-    rows.append(
-        {
-            "check": "sampler_marginal_ks",
-            "space": "euclidean(3)",
-            "t": 0.6,
-            "value": pval,
-            "tolerance": 1e-3,
-            "verdict": HOLDS if pval > 1e-3 else "violated",
-        }
-    )
+    checks.append(check("sampler_marginal_ks", "euclidean(3)", 0.6, pval, 1e-3, LOWER))
     for name, sp, _x in spaces_under_test:
         c = spaces.li_yau_constant_scan(
             sp, t_grid=[0.25, 0.5, 0.9],
             dist_grid=np.linspace(0.0, 2.0, 6),
         )
-        rows.append(
-            {
-                "check": "li_yau_constant_scan",
-                "space": name,
-                "t": 0.9,
-                "value": c,
-                "tolerance": 1e3,
-                "verdict": HOLDS if c < 1e3 else "violated",
-            }
-        )
-    return {"kernel_checks": rows}, []
+        checks.append(check("li_yau_constant_scan", name, 0.9, c, 1e3, UPPER))
+    return checks
 
 
 def suite_moments(p, seed, workers):
-    rows = []
+    """Row i draws its sample from substream (seed, i)."""
+    checks = []
     for d in p["dims"]:
         sp = spaces.euclidean(d)
         x = np.zeros(d)
         for t in p["t_grid"]:
             for order in (2, 4):
-                est = spaces.moment_check(sp, t, x, order, p["n_samples"], seed,
-                                          workers=workers)
-                expected = spaces.exact_euclidean_moment(d, t, order)
-                rows.append(
-                    {
-                        "space": f"euclidean({d})",
-                        "t": t,
-                        "order": order,
-                        "estimate": est.value,
-                        "stderr": est.stderr,
-                        "expected": expected,
-                        "verdict": two_sided_verdict(est.value, expected, est.stderr),
-                    }
-                )
+                est = spaces.moment_check(sp, t, x, order, p["n_samples"],
+                                          (seed, len(checks)), workers=workers)
+                checks.append(Check(
+                    "moments", {"space": f"euclidean({d})", "t": t, "order": order},
+                    est.value, spaces.exact_euclidean_moment(d, t, order),
+                    est.stderr, TWO_SIDED,
+                ))
     sp = spaces.sphere2(1.0)
     north = np.array([0.0, 0.0, 1.0])
     prev = math.inf
     for t in sorted(p["t_grid"], reverse=True):
-        est = spaces.moment_check(sp, t, north, 2, p["n_samples"], seed,
-                                  workers=workers)
+        est = spaces.moment_check(sp, t, north, 2, p["n_samples"],
+                                  (seed, len(checks)), workers=workers)
+        parameters = {"space": "sphere2(1)", "t": t, "order": 2}
         try:
             expected = spaces.exact_sphere_moment(sp, t, 2)
-            verdict = two_sided_verdict(est.value, expected, est.stderr)
+            checks.append(Check("moments", parameters, est.value, expected,
+                                est.stderr, TWO_SIDED))
         except TooSmallTimeError:  # below the certified range: only monotonicity
-            expected = float("nan")
-            verdict = HOLDS if est.value <= prev + 3 * est.stderr else "violated"
-        rows.append(
-            {
-                "space": "sphere2(1)",
-                "t": t,
-                "order": 2,
-                "estimate": est.value,
-                "stderr": est.stderr,
-                "expected": expected,
-                "verdict": verdict,
-            }
-        )
+            checks.append(Check(
+                "moments", parameters, est.value, math.nan, est.stderr,
+                verdict=one_sided_verdict(est.value, prev, est.stderr, 0.0),
+                details={"previous": prev},
+            ))
         prev = est.value
-    return {"moments": rows}, []
+    return checks
 
 
 def suite_couple(p, seed, workers):
@@ -252,18 +206,13 @@ def suite_couple(p, seed, workers):
     taus = coupling.simulate_reflection_taus(
         sep, horizon, p["grid_step"], p["n_runs"], seed, workers=workers
     )
-    report, rows = coupling.check_maximality(taus, d, sep, t_grid)
-    for row in rows:
-        exact = coupling.reflection_survival_exact(sep, row["t"])
-        row["verdict"] = (
-            row["verdict"]
-            if abs(row["p_tau_gt_t"] - exact) <= 3 * row["stderr"] + 1e-3
-            else "violated"
-        )
-    csv_rows = [
-        {k: v for k, v in r.items() if k != "maximality_conventions"} for r in rows
+    # the mirror coupling is maximal: its survival is the exact one, which
+    # is stronger than the coupling inequality check_maximality tests
+    checks = [
+        replace(c, reference=coupling.reflection_survival_exact(sep, c.parameters["t"]),
+                sidedness=TWO_SIDED, tol=1e-3, verdict=None)
+        for c in coupling.check_maximality(taus, d, sep, t_grid)
     ]
-    reports = [report]
     sp = spaces.euclidean(d)
     x = np.zeros(d)
     y = np.zeros(d)
@@ -273,103 +222,65 @@ def suite_couple(p, seed, workers):
         sp, x, y, t_eq, p["grid_step"], p["n_runs"], seed, workers=workers
     )
     fam = functions.default_coupling_family(x, y)
-    eq_report, eq_rows = coupling.check_equivalence_ladder(
+    checks += coupling.check_equivalence_ladder(
         sp, x, y, t_eq, p["alpha_grid"], fam, ends
     )
-    reports.append(eq_report)
     # marginal KS on both legs
     xs, ys, _ = ends
     sig = math.sqrt(2 * t_eq)
     from scipy import stats as sstats  # lazy: ~0.6 s to import
 
-    ks_rows = []
     for leg, arr, start in (("X", xs, x), ("Y", ys, y)):
         for axis in range(d):
             pv = float(
                 sstats.kstest(arr[:, axis], "norm", args=(start[axis], sig)).pvalue
             )
-            ks_rows.append(
-                {
-                    "leg": leg,
-                    "axis": axis,
-                    "t": t_eq,
-                    "p_value": pv,
-                    "verdict": HOLDS if pv > 1e-3 else "violated",
-                }
-            )
-    return {
-        "couple": csv_rows,
-        "couple_equivalence": eq_rows,
-        "couple_marginals": ks_rows,
-    }, reports
+            checks.append(Check("couple_marginals", {"leg": leg, "axis": axis, "t": t_eq},
+                                pv, 1e-3, sidedness=LOWER))
+    return checks
 
 
 def suite_kato(p, seed, workers):
+    """The Monte Carlo row of the i-th (alpha, t) draws from substream (seed, i)."""
     v = _potential_from(p["potential"])
-    rows = []
-    t_cert = max(p["t_grid"])
-    cert_records = []  # the quadrature certificate at t_cert, per alpha
-    for alpha in p["alpha_grid"]:
-        for t in p["t_grid"]:
-            quad = pot.kato_integral(v, alpha, t, method="quadrature")
-            if t == t_cert:
-                cert = quad
-            closed = v.closed_form_kato(alpha, t)
-            exact = closed is not None and math.isfinite(closed)
-            row = {
-                "potential": v.name,
-                "alpha": alpha,
-                "t": t,
-                "method": "quadrature",
-                "bound": quad.bound,
-                "stderr": 0.0,
-                "reference": closed if closed is not None else float("nan"),
-                "verdict": HOLDS,
-            }
-            if exact:
-                rel = abs(quad.bound - closed) / closed if closed else 0.0
-                row["verdict"] = HOLDS if rel < 1e-6 else "violated"
-            rows.append(row)
-            if p["mc_samples"] > 0 and math.isfinite(quad.bound):
-                mc = pot.kato_integral(
-                    v, alpha, t, method="monte_carlo",
-                    n_samples=p["mc_samples"], seed=seed, workers=workers,
-                )
-                ref = closed if closed is not None else quad.bound
-                # only the closed form of an exact inner integral is the
-                # value itself; any other reference is an upper bound of it
-                if exact and v.smoothed_abs_exact:
-                    verdict = two_sided_verdict(mc.bound, ref, mc.stderr,
-                                                1e-12 * abs(ref))
-                else:
-                    verdict = one_sided_verdict(mc.bound, ref, mc.stderr)
-                rows.append(
-                    {
-                        "potential": v.name,
-                        "alpha": alpha,
-                        "t": t,
-                        "method": "monte_carlo",
-                        "bound": mc.bound,
-                        "stderr": mc.stderr,
-                        "reference": ref,
-                        "verdict": verdict,
-                    }
-                )
-        cert_records.append({**cert.to_dict(), "potential": v.name})
-    cls_rows = []
+    checks = []
+    for i, (alpha, t) in enumerate(itertools.product(p["alpha_grid"], p["t_grid"])):
+        parameters = {"potential": v.name, "alpha": alpha, "t": t}
+        quad = pot.kato_integral(v, alpha, t, method="quadrature")
+        closed = v.closed_form_kato(alpha, t)
+        exact = closed is not None and math.isfinite(closed)
+        # a finite closed form must be met to 1e-6, relative; without one
+        # the row only reports the bound
+        checks.append(Check(
+            "kato", {**parameters, "method": "quadrature"}, quad.bound,
+            closed if closed is not None else math.nan, 0.0, TWO_SIDED,
+            1e-6 * abs(closed) if exact else 0.0, None if exact else HOLDS,
+            details={"sup_witness": quad.sup_witness, **quad.details},
+        ))
+        if p["mc_samples"] > 0 and math.isfinite(quad.bound):
+            mc = pot.kato_integral(
+                v, alpha, t, method="monte_carlo",
+                n_samples=p["mc_samples"], seed=(seed, i), workers=workers,
+            )
+            ref = closed if closed is not None else quad.bound
+            # only the closed form of an exact inner integral is the
+            # value itself; any other reference is an upper bound of it
+            exact_inner = exact and v.smoothed_abs_exact
+            checks.append(Check(
+                "kato", {**parameters, "method": "monte_carlo"}, mc.bound, ref,
+                mc.stderr, TWO_SIDED if exact_inner else UPPER,
+                1e-12 * abs(ref) if exact_inner else 0.0,
+            ))
     for alpha in p["alpha_grid"]:
         res = pot.classify_kato(v, p["classify_t_grid"], alpha)
-        cls_rows.append(
-            {
-                "potential": v.name,
-                "alpha": alpha,
-                "status": res.status,
-                "is_kato": res.is_kato,
-                "fitted_exponent": res.fitted_exponent,
-                "verdict": HOLDS if res.status != "inconclusive" else "inconclusive",
-            }
-        )
-    return {"kato": rows, "kato_classification": cls_rows}, cert_records
+        checks.append(Check(
+            "kato_classification",
+            {"potential": v.name, "alpha": alpha, "status": res.status,
+             "is_kato": res.is_kato},
+            res.fitted_exponent, math.nan, sidedness=CATEGORICAL,
+            verdict=HOLDS if res.status != "inconclusive" else INCONCLUSIVE,
+        ))
+    return checks
 
 
 def _fk_oracle_reference(v, psi, x, t):
@@ -391,32 +302,28 @@ def _fk_oracle_reference(v, psi, x, t):
 
 
 def suite_fk(p, seed, workers):
+    """Each estimate against its oracle; one without an oracle holds."""
     v = _potential_from(p["potential"])
     psi = _psi_from(p["psi"])
     x = np.asarray(p["x"], dtype=float)
-    rows = []
+    checks = []
     for t in p["t_grid"]:
         est = fk.fk_evaluate(
             v, psi, x, t, p["n_paths"], seed,
             grid_step=p["grid_step"], workers=workers,
         )
-        ref = p.get("reference_values", {}).get(str(t))
+        ref = p["reference_values"].get(str(t))
         if ref is None:
             ref = _fk_oracle_reference(v, psi, x, t)
-        row = est.to_dict()
-        row.pop("record")
-        row.pop("flags")
-        row["x"] = json.dumps(row["x"])
-        row["seed"] = json.dumps(row["seed"])
-        row["reference"] = ref if ref is not None else float("nan")
-        row["verdict"] = (
-            two_sided_verdict(est.value, float(ref), est.stderr,
-                              p["oracle_tolerance"] * abs(float(ref)))
-            if ref is not None
-            else HOLDS
-        )
-        rows.append(row)
-    return {"fk": rows}, []
+        checks.append(Check(
+            "fk",
+            {"x": json.dumps(x.tolist()), "t": t, "n_paths": est.n_paths,
+             "grid_step": est.action_integrator["grid_step"], "seed": json.dumps(seed)},
+            est.value, math.nan if ref is None else float(ref), est.stderr, TWO_SIDED,
+            0.0 if ref is None else p["oracle_tolerance"] * abs(float(ref)),
+            HOLDS if ref is None else None, details={"flags": est.flags},
+        ))
+    return checks
 
 
 def suite_khashminskii(p, seed, workers):
@@ -429,159 +336,76 @@ def suite_khashminskii(p, seed, workers):
     mean, se = fk.exp_action_moment(
         v, x, r, p["n_paths"], seed, grid_step=r / p["steps"], workers=workers
     )
-    verdict = one_sided_verdict(mean, cert.bound_on_C_exp, se)
-    rows = [
-        {
-            "r": r,
-            "kappa": cert.kappa,
-            "bound_on_C_exp": cert.bound_on_C_exp,
-            "subdivisions": cert.subdivisions,
-            "empirical_exp_moment": mean,
-            "stderr": se,
-            "verdict": verdict,
-        }
-    ]
-    report = BoundReport(
-        "khashminskii_exp_moment",
-        {"r": r, "kappa": cert.kappa},
-        cert.bound_on_C_exp,
-        mean,
-        se,
-        verdict,
-    )
-    return {"khashminskii": rows}, [report]
+    return [Check("khashminskii",
+                  {"r": r, "kappa": cert.kappa, "subdivisions": cert.subdivisions},
+                  mean, cert.bound_on_C_exp, se)]
 
 
 def suite_duhamel(p, seed, workers):
+    """Each doubling of the time steps must cut the residual by min_ratio."""
     v = _potential_from(p["potential"])
     psi = functions.SmoothBump(1.0, p["psi_width"])
-    residuals = []
-    rows = []
+    checks = []
+    previous = None
     for m in p["step_ladder"]:
         res = fk.duhamel_residual(v, psi, p["t"], m)
-        residuals.append(res)
-        ratio = residuals[-2] / res if len(residuals) > 1 else float("nan")
-        rows.append(
-            {
-                "n_time_steps": m,
-                "residual": res,
-                "ratio_vs_previous": ratio,
-                "verdict": HOLDS
-                if (len(residuals) == 1 or ratio >= p["min_ratio"])
-                else "violated",
-            }
-        )
-    return {"duhamel": rows}, []
+        checks.append(Check(
+            "duhamel", {"n_time_steps": m, "residual": res},
+            math.nan if previous is None else previous / res, p["min_ratio"],
+            sidedness=LOWER, verdict=HOLDS if previous is None else None,
+        ))
+        previous = res
+    return checks
 
 
 def suite_holder(p, seed, workers):
     sp = _space_from(p["space"])
     f = functions.Sign() if isinstance(sp, spaces.Euclidean) else functions.HemisphereIndicator()
-    rows = []
-    reports = []
+    checks = []
     for t in p["t_grid"]:
-        rep_l = bounds.lipschitz_quotient(sp, t, f)
-        reports.append(rep_l)
-        rows.append(
-            {
-                "space": sp.kind,
-                "f": type(f).__name__,
-                "t": t,
-                "alpha": 1.0,
-                "measured": rep_l.empirical_value,
-                "cap": rep_l.theoretical_value,
-                "verdict": rep_l.verdict,
-            }
-        )
-        for alpha in p["alpha_grid"]:
-            rep = bounds.holder_quotient(sp, t, alpha, f)
-            reports.append(rep)
-            rows.append(
-                {
-                    "space": sp.kind,
-                    "f": type(f).__name__,
-                    "t": t,
-                    "alpha": alpha,
-                    "measured": rep.empirical_value,
-                    "cap": rep.theoretical_value,
-                    "verdict": rep.verdict,
-                }
-            )
-    return {"holder": rows}, reports
+        checks.append(bounds.lipschitz_quotient(sp, t, f))
+        checks += [bounds.holder_quotient(sp, t, alpha, f) for alpha in p["alpha_grid"]]
+    return checks
 
 
 def suite_theorem(p, seed, workers):
     v = _potential_from(p["potential"])
     phi = _psi_from(p["phi"])
-    rows = []
-    reports = []
-    for t in p["t_grid"]:
-        rep = bounds.verify_main_theorem(
+    checks = [
+        bounds.verify_main_theorem(
             v, phi, p["alpha"], t,
             n_paths=p["n_paths"], seed=seed, workers=workers,
         )
-        reports.append(rep)
-        rows.append(
-            {
-                "potential": v.name,
-                "alpha": p["alpha"],
-                "t": t,
-                "cap": rep.theoretical_value,
-                "worst_quotient": rep.empirical_value,
-                "stderr": rep.stderr,
-                "verdict": rep.verdict,
-            }
-        )
+        for t in p["t_grid"]
+    ]
     # degenerate reduction: V = 0 must collapse to the Hoelder/Lipschitz caps
-    rep0 = bounds.verify_main_theorem(
+    checks.append(bounds.verify_main_theorem(
         pot.ZeroPotential(spaces.euclidean(1)), functions.Sign(), p["alpha"],
         p["t_grid"][0],
-    )
-    rows.append(
-        {
-            "potential": "zero",
-            "alpha": p["alpha"],
-            "t": p["t_grid"][0],
-            "cap": rep0.theoretical_value,
-            "worst_quotient": rep0.empirical_value,
-            "stderr": 0.0,
-            "verdict": HOLDS if rep0.verdict == HOLDS else "violated",
-        }
-    )
-    return {"theorem": rows}, reports
+    ))
+    return checks
 
 
 def suite_molecule(p, seed, workers):
     mol = _molecule_from(p["file"], p["m"], p["nuclei"])
     t = p["t"]
-    rows = []
-    reports = []
+
+    def stage(name, alpha):
+        return {"stage": name, "alpha": alpha}
+
+    checks = []
     for alpha in p["alpha_grid"]:
         cert = pot.kato_integral(mol, alpha, t, method="quadrature")
-        per_term = mol.per_term_kato_closed_form(alpha, t)
-        rows.append(
-            {
-                "stage": "kato_certificate",
-                "alpha": alpha,
-                "value": cert.bound,
-                "reference": per_term,
-                "verdict": HOLDS
-                if (not math.isfinite(per_term)) or cert.bound <= per_term + 1e-9
-                else "violated",
-            }
-        )
+        checks.append(Check("molecule", stage("kato_certificate", alpha), cert.bound,
+                            mol.per_term_kato_closed_form(alpha, t), tol=1e-9))
     # classification: in K^alpha iff alpha < 1
     for alpha, expect in ((max(p["alpha_grid"]), "kato"), (1.0, "divergent")):
         res = pot.classify_kato(mol, p["classify_t_grid"], alpha)
-        rows.append(
-            {
-                "stage": "classification",
-                "alpha": alpha,
-                "value": res.fitted_exponent,
-                "reference": float("nan"),
-                "verdict": HOLDS if res.status == expect else "violated",
-            }
-        )
+        checks.append(Check(
+            "molecule", stage("classification", alpha), res.fitted_exponent, math.nan,
+            sidedness=CATEGORICAL, verdict=HOLDS if res.status == expect else VIOLATED,
+            details={"status": res.status, "expected": expect},
+        ))
     # corollary B from base-space terms
     vj = [
         pot.CoulombPotential((0, 0, 0), float(np.sum(mol.Z)))
@@ -596,28 +420,15 @@ def suite_molecule(p, seed, workers):
     ]
     alpha0 = p["alpha_grid"][len(p["alpha_grid"]) // 2]
     b = bounds.corollary_B_constant(vj, vij, 0.0, alpha0, t)
-    rows.append(
-        {
-            "stage": "corollary_B",
-            "alpha": alpha0,
-            "value": b,
-            "reference": float("nan"),
-            "verdict": HOLDS if math.isfinite(b) else "violated",
-        }
-    )
+    checks.append(Check("molecule", stage("corollary_B", alpha0), b, math.nan,
+                        sidedness=CATEGORICAL,
+                        verdict=HOLDS if math.isfinite(b) else VIOLATED))
     # blow-up of the C-constant as alpha -> 1
     alphas = np.linspace(0.8, 0.98, 10)
     vals = [mol.per_term_kato_closed_form(a, t) * 2.0 ** (-a / 2) for a in alphas]
     slope = pot.fit_blowup_exponent(alphas, vals)
-    rows.append(
-        {
-            "stage": "blowup_slope",
-            "alpha": float("nan"),
-            "value": slope,
-            "reference": -1.0,
-            "verdict": HOLDS if abs(slope + 1.0) <= 0.1 else "violated",
-        }
-    )
+    checks.append(Check("molecule", stage("blowup_slope", math.nan), slope, -1.0,
+                        sidedness=TWO_SIDED, tol=0.1))
     # calibrated L^r -> C^{0,alpha} shape, one-sided extrapolation check
     if p["calibrate"]:
         phi = functions.BallIndicator(np.zeros(3 * mol.m), 1.0)
@@ -643,16 +454,9 @@ def suite_molecule(p, seed, workers):
         predicted = bounds.molecular_bound(
             mol.m, mol.l, mol.R, mol.Z, math.inf, alpha_c, t_check, c_mz, c_rz
         )
-        rows.append(
-            {
-                "stage": "calibrated_shape_check",
-                "alpha": alpha_c,
-                "value": q_check,
-                "reference": predicted,
-                "verdict": one_sided_verdict(q_check, predicted, se_check),
-            }
-        )
-    return {"molecule": rows}, reports
+        checks.append(Check("molecule", stage("calibrated_shape_check", alpha_c),
+                            q_check, predicted, se_check))
+    return checks
 
 
 SUITES = {
@@ -813,26 +617,31 @@ def _validate(suite, supplied):
     return _fields(suite, SUITES[suite][1], supplied)
 
 
-def write_suite(out_dir, suite, seed, config, tables, reports):
+# a table's columns after its parameter keys
+_COLUMNS = ("measured", "reference", "stderr", "verdict", "tightness")
+
+
+def write_suite(out_dir, suite, seed, config, checks):
     """Write one computed suite's tables, records and meta line, print its
     verdict count, and return its exit code.
 
-    A table's columns are the keys of its first row; a stray key in a later
-    row raises.  Every record passes through ``jsonable`` once and is written
-    as strict JSON."""
+    Each check is one row of its table and one line of records.ndjson.  A
+    table's columns are the parameter keys of its first check, then
+    ``_COLUMNS``; a parameter the first check lacks raises.  Every record
+    passes through ``jsonable`` once and is written as strict JSON."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
+    tables = {}
+    for c in checks:
+        row = {**c.parameters, **{k: getattr(c, k) for k in _COLUMNS}}
+        tables.setdefault(c.table, []).append(row)
     for name, rows in sorted(tables.items()):
         with open(out / f"{name}_results.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows({k: _fmt(v) for k, v in row.items()} for row in rows)
-        records += [{"record": "row", "suite": suite, "table": name, **row}
-                    for row in rows]
-    for rep in reports:
-        rec = rep.to_dict() if hasattr(rep, "to_dict") else rep
-        records.append({**rec, "suite": suite})
+    records = [{"record": "check", "suite": suite, **vars(c), "tightness": c.tightness}
+               for c in checks]
     with open(out / "records.ndjson", "a") as fh:
         for rec in records:
             fh.write(json.dumps(jsonable(rec), sort_keys=True, allow_nan=False) + "\n")
@@ -863,12 +672,34 @@ def _verdict_count(records):
 
 
 def run_suite(suite, params, seed, workers=1):
-    """Compute one suite: ({table: rows}, reports). Writes nothing."""
+    """Compute one suite: its list of Checks. Writes nothing."""
     fn, _schema = SUITES[suite]
     return fn(params, seed, workers)
 
 
+def _label(rec):
+    """A check record's table and parameters, as text."""
+    params = "".join(f" {k}={v}" for k, v in rec.get("parameters", {}).items())
+    return f"{rec.get('table', '?')}{params}"
+
+
+def _nearness(rec):
+    """How near a one-sided check record is to its reference: its tightness
+    for an upper bound, the reciprocal for a lower one, so 1 is at the
+    reference and more is past it; NaN for any other record."""
+    tightness = rec.get("tightness")
+    if isinstance(tightness, str) or tightness is None:  # "nan", "inf"
+        return math.nan
+    if rec.get("sidedness") == UPPER:
+        return tightness
+    if rec.get("sidedness") == LOWER:
+        return 1.0 / tightness if tightness else math.inf
+    return math.nan
+
+
 def cmd_report(directory):
+    """Per suite: its verdict count, its tightest one-sided check, and every
+    check that does not hold."""
     path = Path(directory) / "records.ndjson"
     if not path.exists():
         print(f"no run artifacts under {directory}", file=sys.stderr)
@@ -881,31 +712,18 @@ def cmd_report(directory):
     exit_code = 0
     for suite, recs in sorted(by_suite.items()):
         n_verdicts, n_bad = _verdict_count(recs)
-        worst_name, worst_margin = None, math.inf
-        for r in recs:
-            if r.get("record") == "bound_report":
-                try:
-                    margin = float(r["theoretical_value"]) - float(
-                        r["empirical_value"]
-                    )
-                except (TypeError, ValueError):
-                    continue
-                if margin < worst_margin:
-                    worst_margin, worst_name = margin, r["bound_name"]
         status = "PASS" if n_bad == 0 else "FAIL"
-        worst_txt = (
-            f" worst-margin {worst_name}: {worst_margin:.6g}"
-            if worst_name is not None
-            else " (no bound reports)"
-        )
-        print(f"{suite}: {status} ({n_verdicts} verdicts, {n_bad} bad){worst_txt}")
-        if n_bad:
-            for r in recs:
-                if r.get("verdict") not in (None, HOLDS):
-                    name = r.get("bound_name") or r.get("table") or suite
-                    print(f"  violated: {name}")
-                    break
-            exit_code = 1
+        line = f"{suite}: {status} ({n_verdicts} verdicts, {n_bad} bad)"
+        ranked = [r for r in recs if math.isfinite(_nearness(r))]
+        if ranked:
+            tightest = max(ranked, key=_nearness)
+            line += f" tightest {_label(tightest)}: tightness {tightest['tightness']:.6g}"
+        print(line)
+        for r in recs:
+            if r.get("verdict") not in (None, HOLDS):
+                print(f"  {r['verdict']}: {_label(r)}: measured {r.get('measured')}, "
+                      f"reference {r.get('reference')}")
+                exit_code = 1
     if exit_code == 0:
         print("PASS")
     return exit_code
@@ -997,8 +815,8 @@ def main(argv=None):
         for name in ("records.ndjson", "meta.json"):
             (Path(args.out) / name).unlink(missing_ok=True)
         return max(
-            write_suite(args.out, suite, args.seed, params, *result)
-            for suite, params, result in results
+            write_suite(args.out, suite, args.seed, params, checks)
+            for suite, params, checks in results
         )
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -17,7 +17,7 @@ from . import streams
 from .errors import PrecisionError, TimeDomainError, UnsupportedStrategyError
 from .paths import _grid
 from .spaces import Euclidean
-from .reports import HOLDS, BoundReport, one_sided_verdict
+from .reports import LOWER, UPPER, Check
 
 REFLECTION = "reflection"
 
@@ -149,63 +149,38 @@ def reflection_survival_exact(separation, t):
 
 
 def check_maximality(taus, d, separation, t_grid):
-    """Compare empirical survival P(tau > t) with both delta conventions.
+    """One check per t of the coupling inequality P(tau > t) >= (1/2) sup_B
+    |mu1(B) - mu2(B)|, a lower bound at 3 stderr.
 
-    Always asserts the one-sided coupling inequality
-    P(tau > t) + 3*stderr >= (1/2) * sup_B |mu1(B) - mu2(B)|; additionally
-    labels which maximality identity (if any) the data matches.
-    """
+    Each check's details name the maximality identities (if any) that the
+    survival estimate matches within 3 stderr."""
     taus = np.asarray(taus, dtype=float)
     n = taus.size
     if n < 10**4:
         raise PrecisionError("check_maximality needs >= 10^4 runs")
-    rows = []
-    worst = None
+    checks = []
     for t in t_grid:
         p_hat = float(np.mean(taus > t))
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
         tv_supb = total_variation_gaussian(d, separation, t)
         half_l1 = 0.5 * 2.0 * tv_supb  # (1/2) * int |rho1 - rho2| == sup_B value
-        conventions = []
-        if abs(p_hat - tv_supb) <= 3.0 * se:
-            conventions.append("supB")
-        if abs(p_hat - half_l1) <= 3.0 * se:
-            conventions.append("half_L1")
-        if abs(p_hat - 0.5 * tv_supb) <= 3.0 * se:
-            conventions.append("half_supB")
-        verdict = (
-            HOLDS if p_hat + 3.0 * se >= 0.5 * tv_supb else "violated"
-        )
-        row = {
-            "strategy": REFLECTION,
-            "d": d,
-            "separation": separation,
-            "t": t,
-            "p_tau_gt_t": p_hat,
-            "stderr": se,
-            "tv_supB": tv_supb,
-            "half_L1": half_l1,
-            "maximality_conventions": ",".join(conventions) or "none",
-            "verdict": verdict,
-        }
-        rows.append(row)
-        margin = p_hat + 3.0 * se - 0.5 * tv_supb
-        if worst is None or margin < worst[0]:
-            worst = (margin, row)
-    report = BoundReport(
-        bound_name="coupling_lower_bound_half_tv",
-        parameters={"strategy": REFLECTION, "d": d, "separation": separation},
-        theoretical_value=worst[1]["p_tau_gt_t"] + 3.0 * worst[1]["stderr"],
-        empirical_value=0.5 * worst[1]["tv_supB"],
-        stderr=worst[1]["stderr"],
-        verdict=HOLDS if all(r["verdict"] == HOLDS for r in rows) else "violated",
-        details={"rows": rows},
-    )
-    return report, rows
+        conventions = [name for name, value in (("supB", tv_supb), ("half_L1", half_l1),
+                                                ("half_supB", 0.5 * tv_supb))
+                       if abs(p_hat - value) <= 3.0 * se]
+        checks.append(Check(
+            "couple",
+            {"strategy": REFLECTION, "d": d, "separation": separation, "t": t},
+            p_hat, 0.5 * tv_supb, se, LOWER,
+            details={"tv_supB": tv_supb, "half_L1": half_l1,
+                     "maximality_conventions": ",".join(conventions) or "none"},
+        ))
+    return checks
 
 
 def check_equivalence_ladder(space, x, y, t, alpha_grid, f_family, endpoints):
-    """Verify implications (i) => (ii) => (iii) with F(t) := 2*P(tau>t)/d(x,y).
+    """Checks of the implications (i) => (ii) => (iii) with F(t) :=
+    2*P(tau>t)/d(x,y): |E f(X_t) - E f(Y_t)| <= F^alpha 2^{1-alpha} d^alpha
+    ||f||, whose tol carries the delta-method stderr of the bound.
 
     ``endpoints`` is the ``(X_t, Y_t, coupled)`` triple that
     ``simulate_reflection_endpoints`` returns for the same x, y and t."""
@@ -217,8 +192,7 @@ def check_equivalence_ladder(space, x, y, t, alpha_grid, f_family, endpoints):
     p_hat = float(np.mean(~coupled))
     se_p = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
     f_big = 2.0 * p_hat / dist
-    rows = []
-    all_hold = True
+    checks = []
     for name, f in f_family.items():
         diff = f(xs) - f(ys)
         est = abs(float(np.mean(diff)))
@@ -235,33 +209,9 @@ def check_equivalence_ladder(space, x, y, t, alpha_grid, f_family, endpoints):
                 * (2.0 / dist) ** alpha
                 * p_eff ** (alpha - 1.0)
             )
-            slack = 3.0 * (se_d + dbound * se_p)
-            v = one_sided_verdict(est, bound, 0.0, slack)
-            rows.append(
-                {
-                    "f": name,
-                    "alpha": float(alpha),
-                    "statement": statement,
-                    "lhs": est,
-                    "bound": bound,
-                    "stderr": se_d,
-                    "verdict": v,
-                }
-            )
-            all_hold &= v == HOLDS
-    report = BoundReport(
-        bound_name="coupling_equivalence_ladder",
-        parameters={
-            "t": t,
-            "separation": dist,
-            "p_tau_gt_t": p_hat,
-            "F": f_big,
-            "n_runs": n,
-        },
-        theoretical_value=f_big * dist,
-        empirical_value=max(r["lhs"] for r in rows),
-        stderr=se_p,
-        verdict=HOLDS if all_hold else "violated",
-        details={"rows": rows},
-    )
-    return report, rows
+            checks.append(Check(
+                "couple_equivalence",
+                {"f": name, "alpha": float(alpha), "statement": statement},
+                est, bound, se_d, UPPER, 3.0 * dbound * se_p,
+            ))
+    return checks

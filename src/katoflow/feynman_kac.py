@@ -42,22 +42,6 @@ class SemigroupEstimate:
     seed: object  # int or tuple of ints
     flags: list = field(default_factory=list)
 
-    def to_dict(self):
-        seed = self.seed
-        if isinstance(seed, (tuple, list)):
-            seed = list(int(s) for s in seed)
-        return {
-            "record": "semigroup_estimate",
-            "x": list(np.asarray(self.x, dtype=float)),
-            "t": self.t,
-            "value": self.value,
-            "stderr": self.stderr,
-            "n_paths": self.n_paths,
-            "grid_step": self.action_integrator.get("grid_step"),
-            "seed": seed,
-            "flags": list(self.flags),
-        }
-
 
 @dataclass
 class KhashminskiiCertificate:

@@ -1,4 +1,5 @@
-"""Report records shared by the verification suites."""
+"""The verdict record shared by the verification suites: one Check per
+verdict, and the rules that decide it."""
 
 import math
 from dataclasses import dataclass, field
@@ -7,22 +8,70 @@ HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
+# how a check compares measured with reference; a categorical check is
+# decided by a given verdict, not by a rule
+UPPER = "upper"
+LOWER = "lower"
+TWO_SIDED = "two_sided"
+CATEGORICAL = "categorical"
+
+
+def one_sided_verdict(measured, reference, stderr, tol):
+    """holds iff measured <= reference + 3*stderr + tol."""
+    if math.isnan(measured) or math.isnan(reference):
+        return INCONCLUSIVE
+    if measured <= reference + 3.0 * stderr + tol:
+        return HOLDS
+    return VIOLATED
+
+
+def two_sided_verdict(measured, reference, stderr, tol):
+    """holds iff |measured - reference| <= 3*stderr + tol."""
+    if math.isnan(measured) or math.isnan(reference):
+        return INCONCLUSIVE
+    if abs(measured - reference) <= 3.0 * stderr + tol:
+        return HOLDS
+    return VIOLATED
+
+
+_RULES = {
+    UPPER: one_sided_verdict,
+    LOWER: lambda measured, reference, stderr, tol: one_sided_verdict(
+        reference, measured, stderr, tol),
+    TWO_SIDED: two_sided_verdict,
+}
+
 
 @dataclass
-class BoundReport:
-    """An evaluated constant next to an empirical measurement and a verdict."""
+class Check:
+    """One verdict: a measured value set against its reference.
 
-    bound_name: str
+    The verdict is the sidedness rule applied to (measured, reference,
+    stderr, tol) unless it is given: an upper check holds iff measured <=
+    reference + 3*stderr + tol, a lower one iff reference <= measured +
+    3*stderr + tol, a two-sided one iff |measured - reference| <= 3*stderr +
+    tol.  ``table`` and ``parameters`` name the check's row; ``details``
+    holds what is not a verdict (witnesses, per-pair rows, certificates)."""
+
+    table: str
     parameters: dict
-    theoretical_value: float
-    empirical_value: float
+    measured: float
+    reference: float
     stderr: float = 0.0
-    verdict: str = INCONCLUSIVE
-    witness: tuple | None = None
+    sidedness: str = UPPER
+    tol: float = 0.0
+    verdict: str | None = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"record": "bound_report", **vars(self)}
+    def __post_init__(self):
+        if self.verdict is None:
+            self.verdict = _RULES[self.sidedness](
+                self.measured, self.reference, self.stderr, self.tol)
+
+    @property
+    def tightness(self):
+        """measured / reference; NaN where the reference is 0."""
+        return self.measured / self.reference if self.reference else math.nan
 
 
 def jsonable(v):
@@ -37,21 +86,3 @@ def jsonable(v):
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
     return v
-
-
-def one_sided_verdict(empirical, theoretical, stderr=0.0, tol=0.0):
-    """holds iff empirical <= theoretical + 3*stderr + tol."""
-    if math.isnan(empirical) or math.isnan(theoretical):
-        return INCONCLUSIVE
-    if empirical <= theoretical + 3.0 * stderr + tol:
-        return HOLDS
-    return VIOLATED
-
-
-def two_sided_verdict(empirical, target, stderr=0.0, tol=0.0):
-    """holds iff |empirical - target| <= 3*stderr + tol."""
-    if math.isnan(empirical) or math.isnan(target):
-        return INCONCLUSIVE
-    if abs(empirical - target) <= 3.0 * stderr + tol:
-        return HOLDS
-    return VIOLATED

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -63,9 +64,9 @@ def test_c03_lipschitz_smoothing():
     for t in (0.25, 1.0, 4.0):
         rep = bounds.lipschitz_quotient(E1, t, functions.Sign())
         target = 1.0 / math.sqrt(math.pi * t)
-        ok &= abs(rep.empirical_value - target) / target < 0.01
-        ok &= rep.empirical_value <= bounds.f_K(0.0, t) + 1e-9
-        details.append(f"t={t}: q={rep.empirical_value:.5f}")
+        ok &= abs(rep.measured - target) / target < 0.01
+        ok &= rep.measured <= bounds.f_K(0.0, t) + 1e-9
+        details.append(f"t={t}: q={rep.measured:.5f}")
     elapsed = time.time() - t0
     ok &= elapsed < 10.0
     _line(3, "Lipschitz smoothing", ok, "; ".join(details) + f" ({elapsed:.1f}s)")
@@ -77,7 +78,7 @@ def test_c04_holder_self_improvement():
         for alpha in (0.25, 0.5, 0.75, 1.0):
             rep = bounds.holder_quotient(E1, t, alpha, functions.Sign())
             cap = 2 ** (1 - alpha) * bounds.f_K(0.0, t) ** alpha
-            ok &= rep.empirical_value <= cap + 1e-9
+            ok &= rep.measured <= cap + 1e-9
     _line(4, "Hoelder self-improvement", ok)
 
 
@@ -173,8 +174,8 @@ def test_c10_main_theorem_verdicts():
                 potentials.ZeroPotential(E1), functions.Sign(), alpha, t
             )
             ref = bounds.holder_quotient(E1, t, alpha, functions.Sign())
-            ok &= abs(rep0.empirical_value - ref.empirical_value) < 1e-10
-            ok &= abs(rep0.theoretical_value - ref.theoretical_value) < 1e-10
+            ok &= abs(rep0.measured - ref.measured) < 1e-10
+            ok &= abs(rep0.reference - ref.reference) < 1e-10
     _line(10, "main-theorem verdicts", ok)
 
 
@@ -185,25 +186,28 @@ def test_c11_sphere_suite():
     for t in (0.5, 1.0):
         rep = bounds.lipschitz_quotient(S2, t, functions.HemisphereIndicator())
         cap = bounds.f_K(1.0, t)
-        ok &= rep.empirical_value <= cap + 1e-9
-        details.append(f"t={t}: {rep.empirical_value:.4f}<={cap:.4f}")
+        ok &= rep.measured <= cap + 1e-9
+        details.append(f"t={t}: {rep.measured:.4f}<={cap:.4f}")
     _line(11, "sphere suite", ok, "; ".join(details))
+
+
+C12_CONFIG = {
+    "couple": {"n_runs": 20000, "t_grid": [0.25, 1.0]},
+    "moments": {"n_samples": 12000},
+    "kato": {"mc_samples": 20000},
+    "fk": {},
+    "kernel-checks": {"n_ks": 12000},
+    "khashminskii": {"n_paths": 12000},
+    "theorem": {"n_paths": 1200, "t_grid": [0.5]},
+    "molecule": {"n_paths": 1200},
+    "holder": {"t_grid": [0.5]},
+    "duhamel": {},
+}
 
 
 def test_c12_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "couple": {"n_runs": 20000, "t_grid": [0.25, 1.0]},
-        "moments": {"n_samples": 12000},
-        "kato": {"mc_samples": 20000},
-        "fk": {},
-        "kernel-checks": {"n_ks": 12000},
-        "khashminskii": {"n_paths": 12000},
-        "theorem": {"n_paths": 1200, "t_grid": [0.5]},
-        "molecule": {"n_paths": 1200},
-        "holder": {"t_grid": [0.5]},
-        "duhamel": {},
-    }))
+    cfg.write_text(json.dumps(C12_CONFIG))
     outs = [tmp_path / n for n in ("a", "b", "w8")]
     for out, workers in zip(outs, ("1", "1", "8")):
         code = cli.main(["all", "--config", str(cfg), "--seed", "99",
@@ -217,3 +221,27 @@ def test_c12_determinism(tmp_path):
         ok &= (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
     _line(12, "determinism and worker invariance", ok,
           f"{len(files)} artifacts byte-compared")
+
+
+# checks per suite at the c12 config: one verdict each
+C12_CHECKS = {
+    "kernel-checks": 14, "moments": 10, "couple": 20, "kato": 25, "fk": 1,
+    "khashminskii": 1, "duhamel": 4, "holder": 4, "theorem": 2, "molecule": 9,
+}
+
+
+def test_c12_verdict_count_equals_check_count(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(C12_CONFIG))
+    out = tmp_path / "o"
+    cli.main(["all", "--config", str(cfg), "--seed", "99", "--out", str(out)])
+    printed = capsys.readouterr().out
+    printed = dict(re.findall(r"^([\w-]+): (\d+) verdicts", printed, re.M))
+    lines = (out / "records.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    recorded = {suite: sum(r["suite"] == suite and "verdict" in r for r in records)
+                for suite in C12_CHECKS}
+    verdicts = sum("verdict" in r for r in records)  # perfbench's count
+    ok = {s: int(n) for s, n in printed.items()} == C12_CHECKS == recorded
+    ok &= verdicts == len(records) == sum(C12_CHECKS.values()) == 90
+    _line(13, "one verdict per check", ok, f"printed {printed}, {verdicts} records")

@@ -71,14 +71,14 @@ def test_lipschitz_quotient_sign(t):
     report = bounds.lipschitz_quotient(E1, t, functions.Sign())
     target = 1.0 / math.sqrt(math.pi * t)
     assert report.verdict == "holds"
-    assert report.empirical_value == pytest.approx(target, rel=0.01)
-    assert report.empirical_value <= bounds.f_K(0.0, t)
-    assert report.theoretical_value == pytest.approx(1.0 / math.sqrt(2 * t))
+    assert report.measured == pytest.approx(target, rel=0.01)
+    assert report.measured <= bounds.f_K(0.0, t)
+    assert report.reference == pytest.approx(1.0 / math.sqrt(2 * t))
 
 
 def test_lipschitz_quotient_constant_zero():
     report = bounds.lipschitz_quotient(E1, 1.0, functions.Constant(1.0))
-    assert report.empirical_value == pytest.approx(0.0, abs=1e-12)
+    assert report.measured == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
@@ -87,7 +87,7 @@ def test_holder_quotient_caps(alpha, t):
     report = bounds.holder_quotient(E1, t, alpha, functions.Sign())
     assert report.verdict == "holds"
     cap = 2 ** (1 - alpha) * bounds.f_K(0.0, t) ** alpha
-    assert report.theoretical_value == pytest.approx(cap, rel=1e-12)
+    assert report.reference == pytest.approx(cap, rel=1e-12)
 
 
 def test_holder_cap_alpha_half_value():
@@ -98,8 +98,8 @@ def test_holder_cap_alpha_half_value():
 def test_holder_alpha_one_matches_lipschitz():
     rep_l = bounds.lipschitz_quotient(E1, 0.5, functions.Sign())
     rep_h = bounds.holder_quotient(E1, 0.5, 1.0, functions.Sign())
-    assert rep_h.empirical_value == pytest.approx(rep_l.empirical_value, rel=1e-12)
-    assert rep_h.theoretical_value == pytest.approx(rep_l.theoretical_value, rel=1e-12)
+    assert rep_h.measured == pytest.approx(rep_l.measured, rel=1e-12)
+    assert rep_h.reference == pytest.approx(rep_l.reference, rel=1e-12)
 
 
 def test_sphere_conservativeness_and_lipschitz():
@@ -107,7 +107,7 @@ def test_sphere_conservativeness_and_lipschitz():
     for t in (0.5, 1.0):
         report = bounds.lipschitz_quotient(S2, t, f)
         assert report.verdict == "holds"
-        assert report.empirical_value <= bounds.f_K(1.0, t)
+        assert report.measured <= bounds.f_K(1.0, t)
     assert bounds.f_K(1.0, 0.5) == pytest.approx(
         math.sqrt(1.0 / (math.e - 1.0)), rel=1e-12
     )
@@ -206,8 +206,8 @@ def test_verify_main_theorem_v0_matches_holder():
     )
     rep_hq = bounds.holder_quotient(E1, 1.0, 0.5, functions.Sign())
     assert rep_thm.verdict == "holds"
-    assert abs(rep_thm.empirical_value - rep_hq.empirical_value) < 1e-10
-    assert abs(rep_thm.theoretical_value - rep_hq.theoretical_value) < 1e-10
+    assert abs(rep_thm.measured - rep_hq.measured) < 1e-10
+    assert abs(rep_thm.reference - rep_hq.reference) < 1e-10
 
 
 def test_verify_main_theorem_hydrogen():
@@ -218,19 +218,29 @@ def test_verify_main_theorem_hydrogen():
         HYDROGEN, phi, 0.5, 0.5, pairs=pairs, n_paths=4000, seed=3
     )
     assert report.verdict == "holds"
-    assert math.isfinite(report.theoretical_value)
-    assert report.empirical_value < report.theoretical_value
+    assert math.isfinite(report.reference)
+    assert report.measured < report.reference
 
 
 def test_eigenfunction_corollary_hydrogen():
-    pairs = bounds.pair_grid_euclidean(E3, anchors=[np.zeros(3)], scale=2.0, k_max=8)
+    # off the nucleus: a grid centred on it meets the radial psi_0 only in
+    # pairs of equal radius, where every difference is 0
+    pairs = bounds.pair_grid_euclidean(
+        E3, anchors=[np.array([1.0, 0.0, 0.0])], scale=2.0, k_max=8
+    )
     report = bounds.verify_eigenfunction_corollary(
         functions.HydrogenGround(), -0.25, HYDROGEN, 0.5, 1.0, pairs
     )
     assert report.verdict == "holds"
     # analytic Lipschitz constant of e^{-r/2} is 1/2, so quotients at unit
     # scale stay below 1/2 * d^{1-alpha} <= 1/2 * scale^{1/2}
-    assert report.empirical_value <= 0.5 * math.sqrt(2.0) + 1e-9
+    assert report.measured <= 0.5 * math.sqrt(2.0) + 1e-9
+    # the sup is at the widest pair on the x axis, from the nucleus to (2, 0, 0):
+    # |e^0 - e^{-1}| / 2^{1/2}
+    exact = (1.0 - math.exp(-1.0)) / math.sqrt(2.0)
+    assert report.measured == pytest.approx(exact, rel=1e-12)
+    x, y = report.details["witness"]
+    assert list(x) == [0.0, 0.0, 0.0] and list(y) == [2.0, 0.0, 0.0]
 
 
 def test_corollary_B_single_term_reduces_to_A():

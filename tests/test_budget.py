@@ -1,0 +1,59 @@
+"""The number of settable values in src/katoflow may only fall: a new knob
+needs a visible bump here."""
+
+import ast
+from pathlib import Path
+
+import katoflow
+
+# parameters with a default, **kwargs, and dataclass fields with a default
+SETTABLE_VALUES = 59
+
+
+def _is_dataclass(node):
+    """Whether a class is decorated by dataclass, called or not, by its name
+    or as an attribute of its module."""
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(root):
+    count = 0
+    for path in sorted(Path(root).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + (args.kwarg is not None)
+                count += sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
+
+
+def test_settable_values_within_budget():
+    assert settable_values(Path(katoflow.__file__).parent) <= SETTABLE_VALUES
+
+
+def test_settable_values_counts_each_kind(tmp_path):
+    source = '''
+from dataclasses import dataclass, field
+
+def f(a, b=1, *args, c=2, d, **kw):
+    return lambda x, y=3: x
+
+@dataclass
+class R:
+    a: int
+    b: int = 0
+    c: list = field(default_factory=list)
+
+class Plain:
+    e: int = 0
+'''
+    (tmp_path / "m.py").write_text(source)
+    # b, c, **kw, y, and the fields b and c; Plain is no dataclass
+    assert settable_values(tmp_path) == 6

@@ -198,8 +198,9 @@ def test_fk_zero_potential_exit_zero(tmp_path):
     out = tmp_path / "o"
     assert run(["fk", "--seed", "3", "--out", str(out)]) == 0
     rows = (out / "fk_results.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("x,t,value,stderr,n_paths,grid_step,seed")
-    assert ",1.0," in rows[1] and rows[1].endswith("holds")
+    assert rows[0] == ("x,t,n_paths,grid_step,seed,"
+                       "measured,reference,stderr,verdict,tightness")
+    assert ",1.0," in rows[1] and rows[1].endswith("holds,1.0")
 
 
 def test_couple_csv_schema_and_determinism(tmp_path):
@@ -212,8 +213,8 @@ def test_couple_csv_schema_and_determinism(tmp_path):
                  "couple_marginals_results.csv", "records.ndjson"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     header = (out1 / "couple_results.csv").read_text().splitlines()[0]
-    assert header == ("strategy,d,separation,t,p_tau_gt_t,stderr,"
-                      "tv_supB,half_L1,verdict")
+    assert header == ("strategy,d,separation,t,measured,reference,stderr,"
+                      "verdict,tightness")
 
 
 def test_worker_count_invariance(tmp_path):
@@ -239,13 +240,54 @@ def test_report_pass_and_fail(tmp_path, capsys):
     assert run(["report", str(out)]) == 0
     assert "PASS" in capsys.readouterr().out
     with open(out / "records.ndjson", "a") as fh:
-        fh.write(json.dumps({
-            "record": "bound_report", "suite": "fk", "bound_name": "fake",
-            "theoretical_value": 0.0, "empirical_value": 1.0,
-            "verdict": "violated",
-        }) + "\n")
+        fh.write(json.dumps(_planted_check("fake", 1.0, 0.0)) + "\n")
     assert run(["report", str(out)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _planted_check(table, measured, reference):
+    """A violated upper-bound check record of the fk suite."""
+    return {"record": "check", "suite": "fk", "table": table, "parameters": {"t": 0.5},
+            "measured": measured, "reference": reference, "stderr": 0.0,
+            "sidedness": "upper", "tol": 0.0, "verdict": "violated",
+            "tightness": measured / reference if reference else "nan", "details": {}}
+
+
+def test_report_lists_every_failure_and_the_tightest_check(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["fk", "--seed", "3", "--out", str(out)]) == 0
+    with open(out / "records.ndjson", "a") as fh:
+        for table, measured in (("first", 1.5), ("second", 2.0)):
+            fh.write(json.dumps(_planted_check(table, measured, 1.0)) + "\n")
+    assert run(["report", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "fk: FAIL (3 verdicts, 2 bad) tightest second t=0.5: tightness 2" in printed
+    assert "  violated: first t=0.5: measured 1.5, reference 1.0" in printed
+    assert "  violated: second t=0.5: measured 2.0, reference 1.0" in printed
+
+
+def _csv_column(path, column, **match):
+    with open(path, newline="") as fh:
+        return [float(r[column]) for r in csv.DictReader(fh)
+                if all(r[k] == v for k, v in match.items())]
+
+
+def test_rows_draw_independent_samples(tmp_path):
+    """Row i of moments and the i-th Monte Carlo row of kato draw from
+    substream (seed, i).  One sample shared by the rows would make a
+    Brownian second moment at t = 1 exactly 4 times the one at t = 1/4
+    (B_t = sqrt(t) B_1), and an alpha = 0 Kato integral exactly 2 times."""
+    out = tmp_path / "o"
+    assert run(["moments", "--seed", "99", "--out", str(out), "--set", "dims=[1]",
+                "--set", "t_grid=[0.25, 1.0]", "--set", "n_samples=10000"]) in (0, 1)
+    m_quarter, m_one = _csv_column(out / "moments_results.csv", "measured",
+                                   space="euclidean(1)", order="2")
+    assert m_one != 4.0 * m_quarter
+    assert run(["kato", "--seed", "99", "--out", str(out), "--set", "alpha_grid=[0.0]",
+                "--set", "mc_samples=2000"]) in (0, 1)
+    k_quarter, k_one = _csv_column(out / "kato_results.csv", "measured",
+                                   method="monte_carlo")
+    assert k_one != 2.0 * k_quarter
 
 
 def _sphere_moment_rows(out):
@@ -261,7 +303,7 @@ def test_sphere_moment_rows_catch_a_sampler_at_the_wrong_time(tmp_path, monkeypa
     assert run(args + ["--out", str(tmp_path / "ok")]) == 0
     rows = _sphere_moment_rows(tmp_path / "ok")
     assert [float(r["t"]) for r in rows] == [1.0, 0.25, 5e-4]
-    assert [math.isfinite(float(r["expected"])) for r in rows] == [True, True, False]
+    assert [math.isfinite(float(r["reference"])) for r in rows] == [True, True, False]
 
     exact = spaces.StateSpace.sample_transition_batch
 
@@ -283,7 +325,7 @@ def test_holder_on_a_high_curvature_sphere_runs(tmp_path):
                 "--set", 'space={"kind":"sphere2","radius":0.05}',
                 "--set", "t_grid=[1.0]"]) == 0
     with open(out / "holder_results.csv", newline="") as fh:
-        caps = {float(r["alpha"]): float(r["cap"]) for r in csv.DictReader(fh)}
+        caps = {float(r["alpha"]): float(r["reference"]) for r in csv.DictReader(fh)}
     assert caps[1.0] == pytest.approx(20.0 * math.exp(-400.0), rel=1e-12)
 
 

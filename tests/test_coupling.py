@@ -95,12 +95,12 @@ def test_marginal_correctness_both_legs():
 
 def test_check_maximality_identifies_convention():
     taus = coupling.simulate_reflection_taus(2.0, 4.0, 0.125, 100_000, seed=11)
-    report, rows = coupling.check_maximality(taus, 1, 2.0, [0.25, 1.0, 4.0])
-    assert report.verdict == "holds"
-    for row in rows:
-        assert "supB" in row["maximality_conventions"]
-        assert "half_L1" in row["maximality_conventions"]
-        assert "half_supB" not in row["maximality_conventions"]
+    checks = coupling.check_maximality(taus, 1, 2.0, [0.25, 1.0, 4.0])
+    assert all(c.verdict == "holds" for c in checks)
+    for c in checks:
+        assert "supB" in c.details["maximality_conventions"]
+        assert "half_L1" in c.details["maximality_conventions"]
+        assert "half_supB" not in c.details["maximality_conventions"]
 
 
 def test_check_maximality_requires_runs():
@@ -120,9 +120,9 @@ def test_survival_monotone_and_decaying():
 
 def test_synchronous_survival_dominates():
     taus = np.full(20_000, math.inf)
-    report, rows = coupling.check_maximality(taus, 1, 1.0, [0.5, 1.0])
-    assert report.verdict == "holds"
-    assert all(r["p_tau_gt_t"] == 1.0 for r in rows)
+    checks = coupling.check_maximality(taus, 1, 1.0, [0.5, 1.0])
+    assert all(c.verdict == "holds" for c in checks)
+    assert all(c.measured == 1.0 for c in checks)
 
 
 def test_one_sided_prop_bound_with_half_fk():
@@ -138,14 +138,15 @@ def test_equivalence_ladder_holds():
     y = np.array([1.0])
     fam = functions.default_coupling_family(x, y)
     ends = coupling.simulate_reflection_endpoints(E1, x, y, 1.0, 0.125, 60_000, seed=31)
-    report, rows = coupling.check_equivalence_ladder(
+    checks = coupling.check_equivalence_ladder(
         E1, x, y, 1.0, [0.25, 0.5, 1.0], fam, ends
     )
-    assert report.verdict == "holds"
+    assert all(c.verdict == "holds" for c in checks)
     # alpha = 1 reduces (iii) to (ii)
     by_f = {}
-    for r in rows:
-        by_f.setdefault(r["f"], {})[(r["statement"], r["alpha"])] = r["bound"]
+    for c in checks:
+        p = c.parameters
+        by_f.setdefault(p["f"], {})[(p["statement"], p["alpha"])] = c.reference
     for f, bounds in by_f.items():
         assert bounds[("iii", 1.0)] == pytest.approx(bounds[("ii", 1.0)], rel=1e-12)
 
@@ -169,6 +170,6 @@ def test_constant_function_trivial():
     y = np.array([0.5])
     fam = {"constant": functions.Constant(1.0)}
     ends = coupling.simulate_reflection_endpoints(E1, x, y, 0.5, 0.125, 20_000, seed=51)
-    report, rows = coupling.check_equivalence_ladder(E1, x, y, 0.5, [0.5], fam, ends)
-    assert all(r["lhs"] == 0.0 for r in rows)
-    assert report.verdict == "holds"
+    checks = coupling.check_equivalence_ladder(E1, x, y, 0.5, [0.5], fam, ends)
+    assert all(c.measured == 0.0 for c in checks)
+    assert all(c.verdict == "holds" for c in checks)
