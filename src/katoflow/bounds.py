@@ -19,7 +19,7 @@ from . import streams
 from . import potentials as pot
 from .spaces import Euclidean
 from .errors import DivergentBoundError, TimeDomainError
-from .reports import HOLDS, VIOLATED, Check, one_sided_verdict
+from .reports import HOLDS, INCONCLUSIVE, VIOLATED, Check, one_sided_verdict
 
 _QUAD_TOL = 1e-9  # slack for deterministic quadrature comparisons
 
@@ -355,15 +355,18 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
     quadrature (so it is holder_quotient's check); singular V goes through
     the Feynman-Kac estimator, one run per pair whose two legs share their
     Brownian increments, so each pair's stderr is that of its difference.
-    The check holds iff every pair holds at 3 of its stderrs; its stderr is
-    the largest pair stderr, on the scale of the differences."""
+    The check holds iff every pair holds at 3 of its stderrs, and is
+    violated iff one pair is; a pair without an estimate (NaN) makes it
+    inconclusive otherwise.  Its stderr is the largest pair stderr, on the
+    scale of the differences; ``details["witness_stderr"]`` is the witness
+    pair's stderr on the scale of the quotient."""
     space = V.space
     K = space.ricci_lower_bound
     parameters = {"potential": V.name, "alpha": alpha, "t": t}
     if V.is_zero:
         check = holder_quotient(space, t, alpha, phi, pairs=pairs)
         return replace(check, table="theorem", parameters=parameters,
-                       details={**check.details, "A": 0.0})
+                       details={**check.details, "A": 0.0, "witness_stderr": 0.0})
     if pairs is None:
         anchors = [np.asarray(c, dtype=float) for c in V.sup_candidates()]
         pairs = pair_grid_euclidean(space, anchors=anchors, scale=1.0, k_max=6)
@@ -383,16 +386,15 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
         }
         for x, y, dist, lhs, se in pair_rows
     ]
-    held = all(
-        one_sided_verdict(r["lhs"], r["rhs"], r["stderr"], 0.0) == HOLDS for r in rows
-    )
-    worst_q, _se, witness = _worst_pair(pair_rows, alpha, phi.sup_norm)
+    verdicts = {one_sided_verdict(r["lhs"], r["rhs"], r["stderr"], 0.0) for r in rows}
+    worst_q, witness_se, witness = _worst_pair(pair_rows, alpha, phi.sup_norm)
     return Check(
         "theorem", parameters, worst_q, cap,
         stderr=max((r["stderr"] for r in rows), default=0.0),
-        verdict=HOLDS if held else VIOLATED,
+        verdict=next((v for v in (VIOLATED, INCONCLUSIVE) if v in verdicts), HOLDS),
         details={"K": K, "A": a_val, "c_exp": khash.bound_on_C_exp,
-                 "n_paths": n_paths, "witness": witness, "rows": rows},
+                 "n_paths": n_paths, "witness": witness,
+                 "witness_stderr": witness_se, "rows": rows},
     )
 
 

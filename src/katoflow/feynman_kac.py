@@ -182,6 +182,12 @@ def _chunk_actions(V, pts, h, rng, tol, max_depth):
     return ends, action, n_leaves
 
 
+def _cross_sums(a, b):
+    """sum_k a[i, k] b[j, k] for every (i, j), each sum in the order that
+    ``(a * a).sum(axis=1)`` takes on its diagonal."""
+    return (a[:, None, :] * b[None, :, :]).sum(axis=2)
+
+
 def _grid_steps(t, grid_step):
     """Number of path steps on [0, t]; grid_step None means t/100."""
     if grid_step is None:
@@ -230,7 +236,18 @@ def fk_evaluate(
     coupling: each chunk draws one walk from x, integrates V along it, carries
     the same nodes to y by an isometry of the space and integrates V again.
     ``value`` and ``stderr`` are then length-3 arrays for the weights
-    (w_x, w_y, w_x - w_y), so the difference gets its own stderr."""
+    (w_x, w_y, w_x - w_y), so the difference gets its own stderr.
+
+    When psi gives its exact free mean mu = e^{-tH}psi at each start
+    (``psi.free_mean``, a ball on Euclidean space), psi at each path's end
+    is a control variate c of known mean mu: the estimate is mean(w) -
+    B (mean(c) - mu), with B = Cov(w, c) Cov(c)^+ regressing every weight on
+    both legs' controls, and its variance is that of the regression
+    residuals over n (Glasserman 2004, Monte Carlo Methods in Financial
+    Engineering, 4.1).  The control removes the free part psi(x + W_t) -
+    psi(y + W_t) of a pair's noise and leaves the perturbation's.  Without
+    a free mean there is no control, and the estimate is the plain mean of
+    the weights."""
     space = V.space
     x = np.asarray(x, dtype=float)
     pair = x.ndim == 2 and x.shape[0] == 2
@@ -241,41 +258,44 @@ def fk_evaluate(
     n_steps = _grid_steps(t, grid_step)
     grid_step = t / n_steps
 
-    start = x[0] if pair else x
+    starts = x if pair else x[None, :]
+    free_mean = getattr(psi, "free_mean", lambda *_: None)
+    mu = [free_mean(space, p, t) for p in starts]
+    if None in mu:
+        mu = []  # no control: the regression is the plain mean
 
     def walk(rng, size):
-        return paths.sample_paths_batch(space, start, t, grid_step, size, rng)[1]
+        return paths.sample_paths_batch(space, starts[0], t, grid_step, size, rng)[1]
 
     def weights(ends, action):
-        w = np.exp(-action)
-        w *= np.asarray(psi(ends), dtype=float)
-        return w
+        """(w, c): the weights exp(-action) psi(ends), and psi(ends)."""
+        c = np.asarray(psi(ends), dtype=float)
+        return np.exp(-action) * c, c
 
     def chunk(rng, size, _k):
-        # the skeleton goes straight to _chunk_actions, which frees it
-        # before refining
-        ends, action, n_leaves = _chunk_actions(
-            V, walk(rng, size), grid_step, rng, _TOL, _MAX_DEPTH
-        )
-        w = weights(ends, action)
-        return size, w.sum(), (w * w).sum(), n_leaves
+        if pair:
+            pts = walk(rng, size)
+            ends, action, n_x = _chunk_actions(V, pts, grid_step, rng, _TOL, _MAX_DEPTH)
+            w_x, c_x = weights(ends, action)
+            space.carry(pts, x[0], x[1])
+            ends, action, n_y = _chunk_actions(V, pts, grid_step, rng, _TOL, _MAX_DEPTH)
+            w_y, c_y = weights(ends, action)
+            w, c, n_leaves = np.stack((w_x, w_y, w_x - w_y)), np.stack((c_x, c_y)), n_x + n_y
+        else:
+            # the skeleton goes straight to _chunk_actions, which frees it
+            # before refining
+            ends, action, n_leaves = _chunk_actions(
+                V, walk(rng, size), grid_step, rng, _TOL, _MAX_DEPTH
+            )
+            w, c = (a[None, :] for a in weights(ends, action))
+        c = c[:len(mu)]
+        return (size, w.sum(axis=1), c.sum(axis=1), _cross_sums(w, w),
+                _cross_sums(c, c), _cross_sums(w, c)), n_leaves
 
-    def pair_chunk(rng, size, _k):
-        pts = walk(rng, size)
-        ends, action, n_x = _chunk_actions(V, pts, grid_step, rng, _TOL, _MAX_DEPTH)
-        w_x = weights(ends, action)
-        space.carry(pts, x[0], x[1])
-        ends, action, n_y = _chunk_actions(V, pts, grid_step, rng, _TOL, _MAX_DEPTH)
-        w_y = weights(ends, action)
-        w = np.stack((w_x, w_y, w_x - w_y))
-        return size, w.sum(axis=1), (w * w).sum(axis=1), n_x + n_y
-
-    parts = streams.map_chunks(
-        pair_chunk if pair else chunk, n_paths, seed, streams.TAG_FK, workers=workers
-    )
-    n, value, stderr = streams.merge_chunks(p[:3] for p in parts)
+    parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
+    n, value, stderr = streams.merge_controlled((p[0] for p in parts), np.array(mu))
     if not pair:
-        value, stderr = float(value), float(stderr)
+        value, stderr = float(value[0]), float(stderr[0])
     flags = []
     sup_psi = getattr(psi, "sup_norm", None)
     if check_bound and sup_psi is not None:
@@ -306,7 +326,7 @@ def fk_evaluate(
             "grid_step": grid_step,
             "refinement": {"tol": _TOL, "max_depth": _MAX_DEPTH,
                            "near_factor": _NEAR_FACTOR},
-            "n_leaves": int(sum(p[3] for p in parts)),
+            "n_leaves": int(sum(p[1] for p in parts)),
         },
         seed if isinstance(seed, int) else tuple(seed),
         flags,

@@ -3,10 +3,15 @@
 Everything here is a batch callable: input of shape (n, d) (or (n,) scalars
 for 1d spaces) maps to an (n,) array. ``sup_norm`` is declared, and 1d
 functions expose ``breakpoints`` so quadrature can split at discontinuities.
+A function that knows its exact free heat flow exposes ``free_mean``, which
+the Feynman-Kac estimator uses as a control variate.
 """
 
 
 import numpy as np
+from scipy import special
+
+from .spaces import Euclidean
 
 
 class BatchFunction:
@@ -69,6 +74,17 @@ class BallIndicator(BatchFunction):
     def __call__(self, pts):
         d = np.linalg.norm(_as_2d(pts) - self.center, axis=1)
         return (d < self.radius).astype(float)
+
+    def free_mean(self, space, x, t):
+        """P_t 1_B(x), the chance that x + W_t lies in the ball, for the
+        Brownian motion W of generator Laplacian on Euclidean(d): |x + W_t -
+        c|^2 / 2t is noncentral chi-square with d degrees of freedom and
+        noncentrality |x - c|^2 / 2t.  None on any other space."""
+        if not isinstance(space, Euclidean):
+            return None
+        off = np.asarray(x, dtype=float) - self.center
+        return float(special.chndtr(self.radius**2 / (2.0 * t), space.dimension,
+                                    float(off @ off) / (2.0 * t)))
 
 
 class TanhRamp(BatchFunction):

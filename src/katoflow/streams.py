@@ -4,9 +4,12 @@ Monte Carlo work is split into fixed-size chunks; chunk ``k`` of an operation
 tagged ``tag`` always draws from ``default_rng((seed, tag, k))``, so results
 are bit-identical regardless of how many workers process the chunks.
 
-Every Monte Carlo mean in the package (Feynman-Kac, Kato, moments) is the
-plain mean of its raw weights: each chunk returns ``(n, sum, sumsq)`` and
-``merge_chunks`` reduces them in chunk order.
+The Kato and moment Monte Carlo means are the plain means of their raw
+weights: each chunk returns ``(n, sum, sumsq)`` and ``merge_chunks`` reduces
+them in chunk order.  A Feynman-Kac estimate regresses its weights on
+control variates of known mean, none when its function has no free mean:
+each chunk returns sums and cross sums, and ``merge_controlled`` reduces
+them in chunk order too.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -94,3 +97,26 @@ def merge_chunks(parts):
     means = sums / n
     stderrs = np.sqrt(np.maximum(sqs / n - means * means, 0.0) / n)
     return n, means, stderrs
+
+
+def merge_controlled(parts, mu):
+    """(n, means, stderrs) of weights w (k of them) controlled by c (m
+    controls) of known means ``mu``, from per-chunk ``(n, sum w, sum c,
+    sum w w^T, sum c c^T, sum w c^T)``, added in chunk order.
+
+    The estimate is mean(w) - B (mean(c) - mu) with B = Cov(w, c) Cov(c)^+,
+    its variance diag(Cov(w) - B Cov(c, w)) / n.  A control that never
+    varies gets no weight (the pseudo-inverse).  With no control (m = 0), or
+    with Cov(c) = 0, the result is the plain mean and stderr that
+    ``merge_chunks`` gives, bit for bit, when ``sum w w^T`` holds on its
+    diagonal the sums of squares ``merge_chunks`` would get."""
+    n, sums = 0, None
+    for size, *s in parts:
+        n += size
+        sums = s if sums is None else [a + b for a, b in zip(sums, s)]
+    mean_w, mean_c, ww, cc, wc = (np.asarray(a, dtype=float) / n for a in sums)
+    cov_wc = wc - np.outer(mean_w, mean_c)
+    b = cov_wc @ np.linalg.pinv(cc - np.outer(mean_c, mean_c))
+    means = mean_w - b @ (mean_c - mu)
+    var = np.diag(ww) - mean_w * mean_w - (b * cov_wc).sum(axis=1)
+    return n, means, np.sqrt(np.maximum(var, 0.0) / n)

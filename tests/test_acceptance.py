@@ -1,5 +1,6 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
+import hashlib
 import json
 import math
 import re
@@ -245,3 +246,33 @@ def test_c12_verdict_count_equals_check_count(tmp_path, capsys):
     ok = {s: int(n) for s, n in printed.items()} == C12_CHECKS == recorded
     ok &= verdicts == len(records) == sum(C12_CHECKS.values()) == 90
     _line(13, "one verdict per check", ok, f"printed {printed}, {verdicts} records")
+
+
+# SHA-256 of the c12 tables at --seed 99 whose estimators have no control
+# variate (their Phi has no free mean), as written before the ball's control
+# existed; numpy 2.4, scipy 1.17
+C12_UNCONTROLLED_SHA256 = {
+    "fk_results.csv": "436d76c1ad6f0f8062f32c120e0cdd2b298fda3f3f4866c43b0ed706506a467f",
+    "kato_classification_results.csv":
+        "635d7e1c3ef3b90c1209e80273dee0855bffe912c594507403a1aab30148f545",
+    "kato_results.csv": "a2269034d9774d29c32946d937f8ae5353ff8424e462d2b1ab8c8086f07154ce",
+    "khashminskii_results.csv":
+        "bde5c8a2f68140dff67408f231f4fc48b5a95498985ca976b49655f565bc3a8e",
+    "moments_results.csv": "b349ce157d0f7728dda78ab84e3a3ac3caeedb4e13a491b479e00622e569b049",
+    "records.ndjson": "7522b8eb478af21ba36f148879a6c53cec1297e4a1f1cbf91187953202901977",
+}
+
+
+def test_c12_uncontrolled_suites_keep_their_bytes(tmp_path):
+    """fk (Phi = 1), khashminskii (the exp_action_moment lambda), kato and
+    moments run no control variate, and their tables and records keep every
+    byte."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(C12_CONFIG))
+    out = tmp_path / "o"
+    assert cli.main(["all", "--config", str(cfg), "--seed", "99", "--out", str(out),
+                     "--suites", "fk,khashminskii,kato,moments"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in C12_UNCONTROLLED_SHA256}
+    _line(14, "uncontrolled suites keep their bytes", digests == C12_UNCONTROLLED_SHA256,
+          ", ".join(n for n in digests if digests[n] != C12_UNCONTROLLED_SHA256[n]))

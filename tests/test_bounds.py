@@ -362,3 +362,38 @@ def test_user_pair_list_rows_skip_zero_distance_and_do_not_depend_on_workers():
     assert rows[0]["lhs"] != rows[1]["lhs"]
     assert theorem_rows[1] == rows and theorem_rows[2] == rows
     assert quotients[1] == quotients[0] and quotients[2] == quotients[0]
+
+
+def test_theorem_details_carry_the_witness_stderr_on_the_quotient_scale():
+    """``stderr`` stays the largest raw pair stderr; ``witness_stderr`` is
+    the witness pair's stderr over d^alpha ||Phi||, as _worst_pair gives it."""
+    phi = functions.BallIndicator(np.zeros(3), 1.0)
+    pairs = bounds.pair_grid_euclidean(E3, anchors=[np.zeros(3)], scale=1.0, k_max=2)
+    check = bounds.verify_main_theorem(HYDROGEN, phi, 0.5, 0.5, pairs=pairs,
+                                       n_paths=256, seed=5)
+    rows = check.details["rows"]
+    assert check.stderr == max(r["stderr"] for r in rows)
+    x, y = check.details["witness"]
+    (row,) = [r for r in rows if r["x"] == list(x) and r["y"] == list(y)]
+    assert row["lhs"] / row["dist"] ** 0.5 == check.measured
+    assert check.details["witness_stderr"] == row["stderr"] / row["dist"] ** 0.5
+    v0 = bounds.verify_main_theorem(potentials.ZeroPotential(E1), functions.Sign(),
+                                    0.5, 1.0)
+    assert v0.details["witness_stderr"] == 0.0
+
+
+def test_theorem_with_non_finite_weights_is_inconclusive():
+    """A potential that is NaN beyond x_0 = 1 gives NaN weights on some
+    pairs: the theorem check is inconclusive, not violated, and the ball's
+    regression raises nothing."""
+    class Holed(potentials.MolecularPotential):
+        def __call__(self, pts):
+            v = super().__call__(pts)
+            return np.where(np.atleast_2d(pts)[:, 0] > 1.0, np.nan, v)
+
+    phi = functions.BallIndicator(np.zeros(3), 1.0)
+    pairs = [(np.array([0.25, 0.0, 0.0]), np.array([0.75, 0.0, 0.0]))]
+    check = bounds.verify_main_theorem(Holed(1, [(0.0, 0.0, 0.0)], [1.0]), phi, 0.5,
+                                       0.5, pairs=pairs, n_paths=256, seed=1)
+    assert math.isnan(check.measured)
+    assert check.verdict == "inconclusive"

@@ -429,7 +429,9 @@ def test_chunk_leaves_match_the_plain_refinement(x):
 def test_fk_chunk_streams_its_actions_in_bounded_memory():
     """A 4 096-path hydrogen chunk from the nucleus holds no leaf list and no
     second path-sized array: its traced peak stays below 20 MB (40 MB when
-    it kept its 1.2 M leaves), and the estimate keeps its bits."""
+    it kept its 1.2 M leaves), with the ball's control variate.  The plain
+    mean of the same weights, the ball without its free mean, keeps its
+    bits."""
     psi = functions.BallIndicator(0.0, 1.0)
     tracemalloc.start()
     try:
@@ -438,8 +440,10 @@ def test_fk_chunk_streams_its_actions_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
-    assert (est.value, est.stderr) == (0.5817598289735698, 0.018336931631067407)
     assert est.action_integrator["n_leaves"] == 1231485
+    plain = fk.fk_evaluate(HYDROGEN, psi.__call__, np.zeros(3), 0.5, 4096, seed=1)
+    assert (plain.value, plain.stderr) == (0.5817598289735698, 0.018336931631067407)
+    assert plain.action_integrator["n_leaves"] == 1231485
 
 
 @pytest.mark.parametrize("x, y, ratio", [
@@ -513,3 +517,77 @@ def test_pair_on_the_sphere_is_carried_by_a_rotation():
     exact = np.append(exact, exact[0] - exact[1])
     assert np.all(np.abs(est.value - exact) < 4.0 * est.stderr)
     assert est.stderr[2] < math.hypot(*est.stderr[:2])
+
+
+BALL = functions.BallIndicator(np.zeros(3), 1.0)
+OFF_AXIS = np.array([[0.3, 0.4, 0.0], [0.8, 0.4, 0.0]])
+
+
+@pytest.fixture(scope="module")
+def off_axis_reference():
+    """The off-axis pair's difference from 400 000 controlled paths: its
+    stderr is a twentieth of a 1 000-path run's."""
+    return fk.fk_evaluate(HYDROGEN, BALL, OFF_AXIS, 0.5, 400_000, seed=(2, 400_000))
+
+
+def _ball_pair_z(pair, exact, seeds=range(100)):
+    ests = [fk.fk_evaluate(HYDROGEN, BALL, pair, 0.5, 1_000, seed=s) for s in seeds]
+    return ests, np.array([(est.value[2] - exact) / est.stderr[2] for est in ests])
+
+
+@pytest.mark.parametrize("pair", [
+    np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+    np.array([[-0.125, 0.0, 0.0], [0.125, 0.0, 0.0]]),
+    OFF_AXIS,
+], ids=["d=1", "d=1/4", "off-axis"])
+def test_controlled_pair_difference_is_calibrated(pair, off_axis_reference):
+    """A ball pair regresses its weights on both legs' controls.  Over 100
+    seeds of 1 000 paths the z of the difference has mean within 0.3 and sd
+    within [0.8, 1.2]: against 0 for a pair mirrored through the nucleus,
+    where e^{-tH_V}1_B is radial, and against the 400 000-path reference off
+    the axis.  The regression is linear, so value[2] = value[0] - value[1]."""
+    exact = off_axis_reference.value[2] if pair is OFF_AXIS else 0.0
+    ests, z = _ball_pair_z(pair, exact)
+    assert abs(z.mean()) <= 0.3
+    assert 0.8 <= z.std() <= 1.2
+    for est in ests:
+        assert est.value[2] == pytest.approx(est.value[0] - est.value[1], abs=1e-12)
+    if pair[1, 0] == 0.5:
+        # at d = 1 the free part is most of the noise: the control removes
+        # at least three quarters of the variance
+        plain = [fk.fk_evaluate(HYDROGEN, BALL.__call__, pair, 0.5, 1_000, seed=s)
+                 for s in range(100)]
+        assert (np.mean([est.stderr[2] for est in ests])
+                <= 0.5 * np.mean([est.stderr[2] for est in plain]))
+
+
+def test_controlled_pair_with_the_free_mean_at_twice_the_time_fails(
+        monkeypatch, off_axis_reference):
+    """Negative control: a free mean taken at 2t biases the off-axis pair's
+    difference, whose legs sit at different radii, and its z fails the
+    calibration above."""
+    free_mean = functions.BallIndicator.free_mean
+    monkeypatch.setattr(functions.BallIndicator, "free_mean",
+                        lambda self, space, x, t: free_mean(self, space, x, 2.0 * t))
+    _ests, z = _ball_pair_z(OFF_AXIS, off_axis_reference.value[2])
+    assert not (abs(z.mean()) <= 0.3 and 0.8 <= z.std() <= 1.2)
+
+
+@pytest.mark.parametrize("ball", [
+    functions.BallIndicator(np.array([20.0, 0.0, 0.0]), 1.0),
+    functions.BallIndicator(np.zeros(3), 50.0),
+], ids=["never-reached", "never-left"])
+@pytest.mark.parametrize("x", [
+    np.array([0.5, 0.0, 0.0]), np.array([[0.5, 0.0, 0.0], [0.0, 0.75, 0.0]]),
+], ids=["start", "pair"])
+def test_control_that_never_varies_gives_the_plain_estimate(ball, x):
+    """Paths that never reach the ball, or never leave it, give a control
+    of zero covariance: the pseudo-inverse gives it no weight, and the
+    estimate is bit for bit the plain one."""
+    est = fk.fk_evaluate(HYDROGEN, ball, x, 0.5, 512, seed=4)
+    plain = fk.fk_evaluate(HYDROGEN, ball.__call__, x, 0.5, 512, seed=4)
+    np.testing.assert_array_equal(est.value, plain.value)
+    np.testing.assert_array_equal(est.stderr, plain.stderr)
+    if ball.radius == 50.0:  # the weights still vary: not a comparison of zeros
+        assert np.all(np.asarray(est.stderr) > 0)
+
