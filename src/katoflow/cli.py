@@ -145,13 +145,9 @@ def suite_kernel_checks(p, seed, workers):
         sym = abs(sp.heat_kernel(0.7, y, z) - sp.heat_kernel(0.7, z, y))
         checks.append(check("symmetry", name, 0.7, sym, 0.0, UPPER))
     # KS marginal of the transition sampler
-    from scipy import stats as sstats  # lazy: ~0.6 s to import
-
     e3 = spaces.euclidean(3)
     samples = e3.sample_transition_batch(0.6, np.zeros(3), p["n_ks"], rng)
-    pval = float(
-        sstats.kstest(samples[:, 0], "norm", args=(0.0, math.sqrt(1.2))).pvalue
-    )
+    _d, pval = coupling.ks_normal(samples[:, 0], 0.0, math.sqrt(1.2))
     checks.append(check("sampler_marginal_ks", "euclidean(3)", 0.6, pval, 1e-3, LOWER))
     for name, sp, _x in spaces_under_test:
         c = spaces.li_yau_constant_scan(
@@ -228,13 +224,9 @@ def suite_couple(p, seed, workers):
     # marginal KS on both legs
     xs, ys, _ = ends
     sig = math.sqrt(2 * t_eq)
-    from scipy import stats as sstats  # lazy: ~0.6 s to import
-
     for leg, arr, start in (("X", xs, x), ("Y", ys, y)):
         for axis in range(d):
-            pv = float(
-                sstats.kstest(arr[:, axis], "norm", args=(start[axis], sig)).pvalue
-            )
+            _d, pv = coupling.ks_normal(arr[:, axis], start[axis], sig)
             checks.append(Check("couple_marginals", {"leg": leg, "axis": axis, "t": t_eq},
                                 pv, 1e-3, sidedness=LOWER))
     return checks
@@ -605,6 +597,8 @@ def _fields(where, schema, supplied):
             raise ConfigError(f"{where}.{key} must be a list of numbers")
         if key == "classify_t_grid" and len(value) < 2:
             raise ConfigError(f"{where}.{key} needs at least two times")
+        if key == "n_ks" and value < 1:
+            raise ConfigError(f"{where}.{key} must be >= 1")
         params[key] = value
     for key, (default, expected) in schema.items():
         if key not in params and default is None and not _accepts(expected, None):

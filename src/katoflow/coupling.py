@@ -1,5 +1,5 @@
-"""The mirror coupling on R^d: total variation, maximality and the
-equivalence ladder.
+"""The mirror coupling on R^d: total variation, maximality, the
+equivalence ladder and the KS test of its normal marginals.
 
 The mirror coupling reflects across the perpendicular bisector hyperplane of
 the starting pair; the separation coordinate of the driving motion is a 1d
@@ -11,7 +11,7 @@ exp(-a*b/h), so coupling-time statistics carry no O(sqrt(grid_step)) bias.
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from . import streams
 from .errors import PrecisionError, TimeDomainError, UnsupportedStrategyError
@@ -109,38 +109,117 @@ def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, worke
 # ---------------------------------------------------------------------------
 
 
-def total_variation_gaussian(d, separation, t, method="closed_form"):
-    """sup_B |mu1(B) - mu2(B)| between N(x, 2t I_d), N(y, 2t I_d).
-
-    Closed form 2*Phi(sep / (2*sqrt(2t))) - 1; the quadrature route
-    evaluates (1/2) * int |rho1 - rho2| along the separation axis.
-    """
+def total_variation_gaussian(d, separation, t):
+    """sup_B |mu1(B) - mu2(B)| between N(x, 2t I_d), N(y, 2t I_d): the closed
+    form 2*Phi(sep / (2*sqrt(2t))) - 1."""
     if t <= 0:
         raise TimeDomainError("total variation requires t > 0")
     separation = float(separation)
     if separation < 0:
         raise TimeDomainError("separation must be >= 0")
-    from scipy import stats  # lazy: ~0.6 s to import
-
-    if method == "closed_form":
-        return float(2.0 * stats.norm.cdf(separation / (2.0 * math.sqrt(2.0 * t))) - 1.0)
-    if method == "quadrature":
-        sig = math.sqrt(2.0 * t)
-
-        def absdiff(z):
-            return abs(
-                stats.norm.pdf(z, 0.0, sig) - stats.norm.pdf(z, separation, sig)
-            )
-
-        w = 12.0 * sig + separation
-        val, _ = integrate.quad(absdiff, -w, w, points=[0.0, separation / 2.0, separation], limit=200)
-        return 0.5 * val
-    raise TimeDomainError(f"unknown method {method!r}")
+    return float(2.0 * special.ndtr(separation / (2.0 * math.sqrt(2.0 * t))) - 1.0)
 
 
 def reflection_survival_exact(separation, t):
     """Closed-form P(tau > t) for the mirror coupling (reflection principle)."""
     return total_variation_gaussian(1, separation, t)
+
+
+# ---------------------------------------------------------------------------
+# Kolmogorov-Smirnov test of a normal marginal
+# ---------------------------------------------------------------------------
+
+
+def ks_normal(samples, loc, scale):
+    """(D, p) of the two-sided one-sample KS test of samples against
+    N(loc, scale^2): bit for bit what scipy 1.17's ``kstest(samples,
+    "norm", args=(loc, scale))`` returns, from ``scipy.special`` alone.
+
+    p is the exact law of D_n (Simard & L'Ecuyer 2011) along scipy's
+    survival route: 0 for n*D^2 >= 370, 2*smirnov(n, D) for n*D^2 >= 2.2,
+    else 1 minus the Pelz-Good CDF. The inputs scipy routes elsewhere
+    (n <= 140, n*D <= 1, n*D >= n - 1, D >= 1/2, or n <= 100 000 with
+    n*D^1.5 <= 1.4, which has probability about 1e-13 at n >= 12 000) go
+    to scipy itself."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    if n > 140:
+        cdf = special.ndtr((x - loc) / scale)
+        d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+        d_minus = (cdf - np.arange(0.0, n) / n).max()
+        d = d_plus if d_plus > d_minus else d_minus
+        # a 0-d array, as scipy holds D, so D**1.5 takes the same ufunc loop
+        d = np.asarray(d)
+        nd = n * d
+        nd2 = nd * d
+        if (1.0 < nd < n - 1 and d < 0.5
+                and (nd2 >= 2.2 or n > 100000 or n * d**1.5 > 1.4)):
+            if nd2 >= 370.0:
+                p = 0.0
+            elif nd2 >= 2.2:
+                p = 2 * special.smirnov(n, d)
+            else:
+                p = 1.0 - _pelz_good_cdf(n, d)
+            return float(d), float(np.clip(p, 0.0, 1.0))
+    from scipy import stats
+
+    res = stats.kstest(x, "norm", args=(loc, scale))
+    return float(res.statistic), float(res.pvalue)
+
+
+_PI_2, _PI_4, _PI_6 = np.pi**2, np.pi**4, np.pi**6
+_SQRT_2PI = np.sqrt(2 * np.pi)
+_SQRT_3 = np.sqrt(3)
+
+
+def _pelz_good_cdf(n, x):
+    """P(D_n <= x) by the Pelz-Good (1976) series, operation for operation
+    as scipy 1.17's ``_kolmogn_PelzGood`` sums it, so every bit agrees."""
+    z = np.sqrt(n) * x
+    z2, z3, z4, z6 = z**2, z**3, z**4, z**6
+    qlog = -_PI_2 / 8 / z2
+    if qlog < -708:  # z below about 0.042: the CDF underflows
+        return 0.0
+    q = np.exp(qlog)
+    # K_0..K_3 as sums c_i q^(m^2) over odd m = 2k - 1, by Horner in q^(8k)
+    k1a, k1b = -z2, _PI_2 / 4
+    k2a = 6 * z6 + 2 * z4
+    k2b = (2 * z4 - 5 * z2) * _PI_2 / 4
+    k2c = _PI_4 * (1 - 2 * z2) / 16
+    k3d = _PI_6 * (5 - 30 * z2) / 64
+    k3c = _PI_4 * (-60 * z2 + 212 * z4) / 16
+    k3b = _PI_2 * (135 * z4 - 96 * z6) / 4
+    k3a = -30 * z6 - 90 * z**8
+    terms = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        m2, m4, m6 = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b * m2,
+                           k2a + k2b * m2 + k2c * m4,
+                           k3a + k3b * m2 + k3c * m4 + k3d * m6])
+        terms *= qpower
+        terms += coeffs
+    terms *= q
+    terms *= _SQRT_2PI
+    terms /= np.array([z, 6 * z4, 72 * z**7, 6480 * z**10])
+    # the terms of K_2 and K_3 summed over all integers k
+    q = np.exp(-_PI_2 / 2 / z2)
+    ks = np.arange(maxk, 0, -1)
+    ks2 = ks**2
+    sqrt3z = _SQRT_3 * z
+    kspi = np.pi * ks
+    qpowers = q**ks2
+    k2extra = np.sum(ks2 * qpowers)
+    k2extra *= _PI_2 * _SQRT_2PI / (-36 * z3)
+    terms[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ks2 * qpowers)
+    k3extra *= _PI_2 * _SQRT_2PI / (216 * z6)
+    terms[3] += k3extra
+    terms /= np.power(n * 1.0, np.arange(4) / 2.0)
+    return sum(terms)
 
 
 # ---------------------------------------------------------------------------

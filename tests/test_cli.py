@@ -44,6 +44,8 @@ def test_bad_config_value_exits_2(tmp_path):
     ("molecule", "n_paths=0"),
     ("khashminskii", "steps=0"),
     ("couple", "n_runs=0"),
+    ("kernel-checks", "n_ks=0"),
+    ("kernel-checks", "n_ks=-5"),
     ("duhamel", "step_ladder=[0]"),
     ("couple", "separation=0"),
     ("kato", "t_grid=[]"),
@@ -420,11 +422,23 @@ def test_all_checks_every_suite_before_running(tmp_path, capsys, suites, config)
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs every run ~0.6 s; only the KS checks import it."""
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    """scipy.stats costs a run about 18 MB and 0.4 s. Neither the CLI import
+    nor the KS checks of kernel-checks and couple at the c12 sizes load it:
+    their p-values come from scipy.special."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, katoflow.cli; print('scipy.stats' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel-checks": {"n_ks": 12000},
+                               "couple": {"n_runs": 20000, "t_grid": [0.25, 1.0]}}))
+    run_ks = ("import sys, katoflow.cli; code = katoflow.cli.main(sys.argv[1:]); "
+              "print(code, 'scipy.stats' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", run_ks, "all", "--suites", "kernel-checks,couple",
+         "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "0 False"

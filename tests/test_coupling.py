@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from katoflow import coupling, functions, spaces
 from katoflow.errors import PrecisionError, TimeDomainError, UnsupportedStrategyError
@@ -19,11 +19,51 @@ def test_survival_closed_form_value():
     )
 
 
+def _half_l1(separation, t):
+    """(1/2) * int |rho1 - rho2| along the separation axis, by quadrature."""
+    sig = math.sqrt(2.0 * t)
+
+    def absdiff(z):
+        return abs(stats.norm.pdf(z, 0.0, sig) - stats.norm.pdf(z, separation, sig))
+
+    w = 12.0 * sig + separation
+    val, _ = integrate.quad(absdiff, -w, w, limit=200,
+                            points=[0.0, separation / 2.0, separation])
+    return 0.5 * val
+
+
 def test_tv_conventions_agree():
     for sep, t in [(0.5, 0.25), (1.0, 1.0), (2.0, 4.0)]:
         cf = coupling.total_variation_gaussian(3, sep, t)
-        qd = coupling.total_variation_gaussian(3, sep, t, method="quadrature")
+        qd = _half_l1(sep, t)
         assert cf == pytest.approx(qd, abs=1e-9)
+
+
+def test_tv_closed_form_is_the_normal_cdf():
+    for d, sep, t in [(1, 2.0, 1.0), (3, 0.5, 0.25), (2, 7.0, 0.3), (1, 0.0, 2.0)]:
+        expected = 2.0 * stats.norm.cdf(sep / (2.0 * math.sqrt(2.0 * t))) - 1.0
+        assert coupling.total_variation_gaussian(d, sep, t) == expected
+
+
+def test_ks_normal_is_scipys_kstest_bit_for_bit():
+    """Null and shifted samples through every route: 2*smirnov (n D^2 >= 2.2),
+    Pelz-Good (n D^2 < 2.2), p = 0 (n D^2 >= 370) and, at n <= 140, scipy."""
+    rng = np.random.default_rng(19)
+    loc, scale = 0.3, 1.7
+    routes = []
+    for n in (100, 141, 2_000, 12_000, 20_000, 100_001):
+        for shift in (0.0, 0.0, 0.0, 2.0, 4.0, 6.0, 60.0):
+            x = loc + scale * (rng.standard_normal(n) + shift / math.sqrt(n))
+            d, p = coupling.ks_normal(x, loc, scale)
+            ref = stats.kstest(x, "norm", args=(loc, scale))
+            assert d == ref.statistic
+            assert p == ref.pvalue
+            if n > 140:
+                routes.append((n * d * d, p))
+    assert any(nd2 >= 2.2 for nd2, _p in routes)
+    assert any(nd2 < 2.2 for nd2, _p in routes)
+    assert any(0.0 < p < 1e-3 for _nd2, p in routes)
+    assert any(p == 0.0 for _nd2, p in routes)
 
 
 def test_tv_limits():
