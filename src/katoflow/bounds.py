@@ -219,6 +219,8 @@ def lipschitz_quotient(space, t, f, pairs=None):
 
 def holder_quotient(space, t, alpha, f, pairs=None):
     """Measured sup quotient with d^alpha against 2^{1-alpha} F_K(t)^alpha."""
+    if t <= 0:
+        raise TimeDomainError("t must be > 0")
     if not 0.0 < alpha <= 1.0:
         raise TimeDomainError("alpha must lie in (0, 1]")
     if pairs is None:
@@ -257,7 +259,7 @@ def _fk_weight(K, alpha):
     return w
 
 
-def C_constant(V, K, alpha, r, method="auto"):
+def C_constant(V, K, alpha, r):
     """sup_x int_0^r F_K(s)^alpha int p(s,x,y) |V(y)| dy ds."""
     if not 0.0 <= alpha <= 1.0:
         raise TimeDomainError("alpha must lie in [0, 1]")
@@ -265,12 +267,10 @@ def C_constant(V, K, alpha, r, method="auto"):
         raise TimeDomainError("r must be > 0")
     if V.is_zero:
         return 0.0
-    if method in ("auto", "closed_form") and K == 0.0:
+    if K == 0.0:
         base = V.closed_form_kato(alpha, r)
         if base is not None:
             return 2.0 ** (-alpha / 2.0) * base  # F_0(s)^a == 2^{-a/2} s^{-a/2}
-        if method == "closed_form":
-            raise TimeDomainError(f"no closed form for {V.name}")
     weight = _fk_weight(K, alpha)
     # F_K(s)^a m(s) = s^{-a/2} w(s) m(s); reuse the kato quadrature machinery
     bound, _wit, _details = pot._quadrature_bound(V, alpha, r, extra_weight=weight)
@@ -422,7 +422,7 @@ def verify_eigenfunction_corollary(psi, lam, V, alpha, t, pairs):
 # ---------------------------------------------------------------------------
 
 
-def molecular_bound(m, l, R, Z, r_exponent, alpha, t, c_mz, c_rz):
+def molecular_bound(m, r_exponent, alpha, t, c_mz, c_rz):
     """C_mz t^{-3m/2r} e^{C_rz t} (2^{1-a} t^{-a/2} + (t/4)^{(1-a)/2}/((1-a)/2) e^{C_rz t}).
 
     The alpha- and t-shape is the claim; the absolute constants are inputs."""
@@ -438,7 +438,7 @@ def molecular_bound(m, l, R, Z, r_exponent, alpha, t, c_mz, c_rz):
 
 
 def _molecular_shape(t, m, r_exponent, alpha, c_rz):
-    return molecular_bound(m, 0, None, None, r_exponent, alpha, t, 1.0, c_rz)
+    return molecular_bound(m, r_exponent, alpha, t, 1.0, c_rz)
 
 
 def calibrate_molecular_constants(measurements, alpha, m, r_exponent):

@@ -443,9 +443,7 @@ def suite_molecule(p, seed, workers):
             mol, phi, alpha_c, t_check, pairs, p["n_paths"], (seed, 99),
             workers=workers,
         )
-        predicted = bounds.molecular_bound(
-            mol.m, mol.l, mol.R, mol.Z, math.inf, alpha_c, t_check, c_mz, c_rz
-        )
+        predicted = bounds.molecular_bound(mol.m, math.inf, alpha_c, t_check, c_mz, c_rz)
         checks.append(Check("molecule", stage("calibrated_shape_check", alpha_c),
                             q_check, predicted, se_check))
     return checks

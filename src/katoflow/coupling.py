@@ -109,9 +109,10 @@ def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, worke
 # ---------------------------------------------------------------------------
 
 
-def total_variation_gaussian(d, separation, t):
-    """sup_B |mu1(B) - mu2(B)| between N(x, 2t I_d), N(y, 2t I_d): the closed
-    form 2*Phi(sep / (2*sqrt(2t))) - 1."""
+def total_variation_gaussian(separation, t):
+    """sup_B |mu1(B) - mu2(B)| between N(x, 2t I_d), N(y, 2t I_d) with
+    |x - y| = sep, in any dimension d: the closed form
+    2*Phi(sep / (2*sqrt(2t))) - 1."""
     if t <= 0:
         raise TimeDomainError("total variation requires t > 0")
     separation = float(separation)
@@ -122,7 +123,7 @@ def total_variation_gaussian(d, separation, t):
 
 def reflection_survival_exact(separation, t):
     """Closed-form P(tau > t) for the mirror coupling (reflection principle)."""
-    return total_variation_gaussian(1, separation, t)
+    return total_variation_gaussian(separation, t)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def check_maximality(taus, d, separation, t_grid):
     for t in t_grid:
         p_hat = float(np.mean(taus > t))
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
-        tv_supb = total_variation_gaussian(d, separation, t)
+        tv_supb = total_variation_gaussian(separation, t)
         half_l1 = 0.5 * 2.0 * tv_supb  # (1/2) * int |rho1 - rho2| == sup_B value
         conventions = [name for name, value in (("supB", tv_supb), ("half_L1", half_l1),
                                                 ("half_supB", 0.5 * tv_supb))

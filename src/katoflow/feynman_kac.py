@@ -182,12 +182,6 @@ def _chunk_actions(V, pts, h, rng, tol, max_depth):
     return ends, action, n_leaves
 
 
-def _cross_sums(a, b):
-    """sum_k a[i, k] b[j, k] for every (i, j), each sum in the order that
-    ``(a * a).sum(axis=1)`` takes on its diagonal."""
-    return (a[:, None, :] * b[None, :, :]).sum(axis=2)
-
-
 def _grid_steps(t, grid_step):
     """Number of path steps on [0, t]; grid_step None means t/100."""
     if grid_step is None:
@@ -288,12 +282,10 @@ def fk_evaluate(
                 V, walk(rng, size), grid_step, rng, _TOL, _MAX_DEPTH
             )
             w, c = (a[None, :] for a in weights(ends, action))
-        c = c[:len(mu)]
-        return (size, w.sum(axis=1), c.sum(axis=1), _cross_sums(w, w),
-                _cross_sums(c, c), _cross_sums(w, c)), n_leaves
+        return np.concatenate((w, c[:len(mu)])), n_leaves
 
     parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
-    n, value, stderr = streams.merge_controlled((p[0] for p in parts), np.array(mu))
+    n, value, stderr = streams.merge((p[0] for p in parts), mu)
     if not pair:
         value, stderr = float(value[0]), float(stderr[0])
     flags = []
@@ -436,6 +428,8 @@ def duhamel_residual(V, psi, t, n_time_steps):
         raise TimeDomainError("duhamel_residual lives on euclidean(1)")
     if V.sup_norm is None:
         raise TimeDomainError("duhamel_residual needs a bounded potential")
+    if t <= 0:
+        raise TimeDomainError("t must be > 0")
     if n_time_steps < 1:
         raise TimeDomainError("duhamel_residual needs n_time_steps >= 1")
     dx = 0.02

@@ -11,6 +11,7 @@ the Feynman-Kac estimator uses as a control variate.
 import numpy as np
 from scipy import special
 
+from .errors import KatoflowError
 from .spaces import Euclidean
 
 
@@ -134,6 +135,8 @@ class SmoothBump(BatchFunction):
     def __init__(self, amplitude=1.0, width=1.0, center=0.0):
         self.amplitude = float(amplitude)
         self.width = float(width)
+        if not self.width > 0:
+            raise KatoflowError("SmoothBump width must be > 0")
         self.center = float(center)
         self.sup_norm = abs(self.amplitude)
 
@@ -144,20 +147,6 @@ class SmoothBump(BatchFunction):
         ui = u[inside]
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - ui * ui))
         return out
-
-
-class GriddedFunction1D(BatchFunction):
-    """Linear interpolant of grid samples; constant extrapolation."""
-
-    def __init__(self, xs, values, sup_norm=None):
-        self.xs = np.asarray(xs, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self.sup_norm = (
-            float(np.max(np.abs(self.values))) if sup_norm is None else sup_norm
-        )
-
-    def __call__(self, pts):
-        return np.interp(_as_2d(pts)[:, 0], self.xs, self.values)
 
 
 def default_coupling_family(x, y):

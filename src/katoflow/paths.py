@@ -16,6 +16,8 @@ from .errors import TimeDomainError
 def _grid(horizon, grid_step):
     """(times, steps) on [0, horizon]: n steps of exactly horizon/n when
     grid_step divides horizon, else steps of grid_step closed by a shorter one."""
+    if grid_step <= 0:
+        raise TimeDomainError("grid_step must be > 0")
     n = int(round(horizon / grid_step))
     if abs(n * grid_step - horizon) < 1e-12 * max(1.0, horizon) and n >= 1:
         return np.linspace(0.0, horizon, n + 1), np.full(n, horizon / n)
@@ -30,8 +32,8 @@ def sample_paths_batch(space, x, horizon, grid_step, n, rng):
     R^d, and on the sphere exact for steps of at least 1e-3 r^2."""
     if horizon <= 0:
         raise TimeDomainError("horizon must be > 0")
-    if not 0 < grid_step <= horizon:
-        raise TimeDomainError("need 0 < grid_step <= horizon")
+    if grid_step > horizon:
+        raise TimeDomainError("need grid_step <= horizon")
     x = space.check_point(x)
     times, steps = _grid(horizon, grid_step)
     return times, space.walk(x, steps, n, rng)

@@ -10,7 +10,6 @@ and a path-form Monte Carlo route.  Certificates are always upper bounds of
 the inner integral and lower bounds of the outer sup (witness search).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -322,9 +321,6 @@ class KatoCertificate:
     def finite(self):
         return math.isfinite(self.bound)
 
-    def to_dict(self):
-        return {"record": "kato_certificate", **vars(self)}
-
 
 @dataclass
 class KatoClassification:
@@ -464,18 +460,18 @@ def kato_integral(V, alpha, t, method="auto", n_samples=10**5, seed=0, workers=1
             s = t * u ** (1.0 / power)
             ys = V.space.sample_transition_each(s, wit, rng)
             w = z_norm * s ** (beta - alpha / 2.0) * np.abs(V(ys))
-            return size, w.sum(), (w * w).sum()
+            return w[None]
 
-        n, mean, stderr = streams.merge_chunks(streams.map_chunks(
+        n, mean, stderr = streams.merge(streams.map_chunks(
             chunk, n_samples, seed, streams.TAG_KATO_MC, workers=workers
-        ))
+        ), ())
         return KatoCertificate(
             alpha,
             t,
-            float(mean),
+            float(mean[0]),
             "monte_carlo",
             wit,
-            float(stderr),
+            float(stderr[0]),
             {"n_samples": n, "time_density_exponent": beta},
         )
 
@@ -528,13 +524,9 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def load_molecule(source):
-    """Molecule JSON {"m": int, "nuclei": [{"R": [x,y,z], "Z": charge}]}."""
-    if isinstance(source, (str, bytes)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+def load_molecule(data):
+    """Molecule from its decoded JSON object
+    {"m": int, "nuclei": [{"R": [x,y,z], "Z": charge}]}."""
     if set(data.keys()) - {"m", "nuclei"}:
         raise InvalidPointError(
             f"unknown molecule keys {sorted(set(data) - {'m', 'nuclei'})}"

@@ -423,13 +423,12 @@ def moment_check(space, t, x, order, n_samples, seed, workers=1):
     def chunk(rng, size, _k):
         ys = space.sample_transition_batch(t, x, size, rng)
         dist = space.distance_batch(x, ys)
-        vals = dist**order
-        return size, np.sum(vals), np.sum(vals * vals)
+        return (dist**order)[None]
 
-    n, mean, stderr = streams.merge_chunks(streams.map_chunks(
+    n, mean, stderr = streams.merge(streams.map_chunks(
         chunk, n_samples, seed, streams.TAG_MOMENT, workers=workers
-    ))
-    return MomentEstimate(order, t, float(mean), float(stderr), n)
+    ), ())
+    return MomentEstimate(order, t, float(mean[0]), float(stderr[0]), n)
 
 
 def exact_euclidean_moment(d, t, order):
@@ -458,6 +457,8 @@ def exact_sphere_moment(space, t, order):
 
 def conservativeness_defect(space, t, x):
     """|integral of p(t,x,.) dm - 1| by radial quadrature."""
+    if t <= 0:
+        raise TimeDomainError("t must be > 0")
     space.check_point(x)
     return abs(space.total_mass(t) - 1.0)
 

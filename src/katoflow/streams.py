@@ -4,12 +4,11 @@ Monte Carlo work is split into fixed-size chunks; chunk ``k`` of an operation
 tagged ``tag`` always draws from ``default_rng((seed, tag, k))``, so results
 are bit-identical regardless of how many workers process the chunks.
 
-The Kato and moment Monte Carlo means are the plain means of their raw
-weights: each chunk returns ``(n, sum, sumsq)`` and ``merge_chunks`` reduces
-them in chunk order.  A Feynman-Kac estimate regresses its weights on
-control variates of known mean, none when its function has no free mean:
-each chunk returns sums and cross sums, and ``merge_controlled`` reduces
-them in chunk order too.
+Every Monte Carlo mean goes through ``merge``: each chunk returns its
+per-sample weights, one row per estimated mean, followed by the control
+variates of known mean, if any, and ``merge`` alone forms the sums, regresses
+the weights on the controls and gives the means and stderrs, adding the
+chunks in chunk order.  With no control it is the plain mean.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -84,39 +83,40 @@ def map_ordered(fn, items, workers=1):
         return list(pool.map(fn, items))
 
 
-def merge_chunks(parts):
-    """(n, means, stderrs) from per-chunk ``(n, sums, sumsqs)``, added in chunk order.
-
-    ``sums`` and ``sumsqs`` are scalars or arrays of one shape; the sequential
-    order keeps the result independent of the worker count."""
-    n, sums, sqs = 0, 0.0, 0.0
-    for size, s, q in parts:
-        n += size
-        sums = sums + np.asarray(s, dtype=float)
-        sqs = sqs + np.asarray(q, dtype=float)
-    means = sums / n
-    stderrs = np.sqrt(np.maximum(sqs / n - means * means, 0.0) / n)
-    return n, means, stderrs
+def _cross_sums(a, b):
+    """sum_k a[i, k] b[j, k] for every (i, j), each sum in the order that
+    ``(a * a).sum(axis=1)`` takes on its diagonal."""
+    return (a[:, None, :] * b[None, :, :]).sum(axis=2)
 
 
-def merge_controlled(parts, mu):
-    """(n, means, stderrs) of weights w (k of them) controlled by c (m
-    controls) of known means ``mu``, from per-chunk ``(n, sum w, sum c,
-    sum w w^T, sum c c^T, sum w c^T)``, added in chunk order.
+def merge(parts, mu):
+    """(n, means, stderrs) of k weights w controlled by m = len(mu) controls
+    c of known means ``mu``, from per-chunk 2-D arrays whose rows are the
+    chunk's k weights followed by its m controls, one column per sample.
 
-    The estimate is mean(w) - B (mean(c) - mu) with B = Cov(w, c) Cov(c)^+,
-    its variance diag(Cov(w) - B Cov(c, w)) / n.  A control that never
-    varies gets no weight (the pseudo-inverse).  With no control (m = 0), or
-    with Cov(c) = 0, the result is the plain mean and stderr that
-    ``merge_chunks`` gives, bit for bit, when ``sum w w^T`` holds on its
-    diagonal the sums of squares ``merge_chunks`` would get."""
-    n, sums = 0, None
-    for size, *s in parts:
-        n += size
+    The chunks' sums and cross sums are added in chunk order.  The estimate
+    is mean(w) - B (mean(c) - mu) with B = Cov(w, c) Cov(c)^+, its variance
+    diag(Cov(w) - B Cov(c, w)) / n.  A control that never varies gets no
+    weight: its row and column of Cov(c) are set to 0, which its rounded
+    sums need not give, and the pseudo-inverse leaves it out.  With no
+    control (mu = ()) the correction is an exact 0, and the result is the
+    plain mean and stderr."""
+    mu = np.asarray(mu, dtype=float)
+    n, sums, lo, hi = 0, None, np.inf, -np.inf
+    for rows in parts:
+        w, c = rows[:len(rows) - mu.size], rows[len(rows) - mu.size:]
+        s = (w.sum(axis=1), c.sum(axis=1), _cross_sums(w, w),
+             _cross_sums(c, c), _cross_sums(w, c))
+        n += rows.shape[1]
         sums = s if sums is None else [a + b for a, b in zip(sums, s)]
-    mean_w, mean_c, ww, cc, wc = (np.asarray(a, dtype=float) / n for a in sums)
+        lo, hi = np.minimum(lo, c.min(axis=1)), np.maximum(hi, c.max(axis=1))
+    mean_w, mean_c, ww, cc, wc = (a / n for a in sums)
     cov_wc = wc - np.outer(mean_w, mean_c)
-    b = cov_wc @ np.linalg.pinv(cc - np.outer(mean_c, mean_c))
+    cov_cc = cc - np.outer(mean_c, mean_c)
+    fixed = ~(lo < hi)  # a control that never varies
+    cov_cc[fixed] = 0.0
+    cov_cc[:, fixed] = 0.0
+    b = cov_wc @ np.linalg.pinv(cov_cc)
     means = mean_w - b @ (mean_c - mu)
     var = np.diag(ww) - mean_w * mean_w - (b * cov_wc).sum(axis=1)
     return n, means, np.sqrt(np.maximum(var, 0.0) / n)

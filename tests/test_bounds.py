@@ -135,8 +135,10 @@ def test_C_constant_closed_forms():
 
 
 def test_C_constant_quadrature_cross_check():
-    exact = bounds.C_constant(COULOMB, 0.0, 0.5, 0.5, method="closed_form")
-    quad = bounds.C_constant(COULOMB, 0.0, 0.5, 0.5, method="quadrature")
+    exact = bounds.C_constant(COULOMB, 0.0, 0.5, 0.5)
+    quad = potentials._quadrature_bound(
+        COULOMB, 0.5, 0.5, extra_weight=bounds._fk_weight(0.0, 0.5)
+    )[0]
     assert quad == pytest.approx(exact, rel=1e-6)
 
 
@@ -276,17 +278,17 @@ def test_corollary_B_lithium_needs_more_than_255_splits():
 
 def test_molecular_bound_shape():
     with pytest.raises(TimeDomainError):
-        bounds.molecular_bound(1, 1, None, None, math.inf, 1.0, 1.0, 1.0, 0.0)
-    v1 = bounds.molecular_bound(1, 1, None, None, math.inf, 0.5, 1.0, 1.0, 0.0)
+        bounds.molecular_bound(1, math.inf, 1.0, 1.0, 1.0, 0.0)
+    v1 = bounds.molecular_bound(1, math.inf, 0.5, 1.0, 1.0, 0.0)
     assert v1 == pytest.approx(2**0.5 + (0.25**0.25) * 4.0, rel=1e-12)
     # r = inf kills the t^{-3m/2r} factor
-    vr = bounds.molecular_bound(2, 1, None, None, 4.0, 0.5, 2.0, 1.0, 0.0)
-    vr_inf = bounds.molecular_bound(2, 1, None, None, math.inf, 0.5, 2.0, 1.0, 0.0)
+    vr = bounds.molecular_bound(2, 4.0, 0.5, 2.0, 1.0, 0.0)
+    vr_inf = bounds.molecular_bound(2, math.inf, 0.5, 2.0, 1.0, 0.0)
     assert vr == pytest.approx(vr_inf * 2.0 ** (-6.0 / 8.0), rel=1e-12)
     # alpha -> 1 blow-up like 2/(1-alpha)
     alphas = np.linspace(0.8, 0.98, 8)
     vals = [
-        bounds.molecular_bound(1, 1, None, None, math.inf, a, 1.0, 1.0, 0.0)
+        bounds.molecular_bound(1, math.inf, a, 1.0, 1.0, 0.0)
         for a in alphas
     ]
     assert potentials.fit_blowup_exponent(alphas, vals) == pytest.approx(-1.0, abs=0.12)
@@ -298,10 +300,8 @@ def test_calibration_dominates_and_extrapolates():
     c_mz, c_rz = bounds.calibrate_molecular_constants(meas, alpha, m, math.inf)
     assert c_rz >= 0.0
     for t, q in meas:
-        assert bounds.molecular_bound(m, 1, None, None, math.inf, alpha, t,
-                                      c_mz, c_rz) >= q - 1e-9
-    assert bounds.molecular_bound(m, 1, None, None, math.inf, alpha, 2.0,
-                                  c_mz, c_rz) > 0.0
+        assert bounds.molecular_bound(m, math.inf, alpha, t, c_mz, c_rz) >= q - 1e-9
+    assert bounds.molecular_bound(m, math.inf, alpha, 2.0, c_mz, c_rz) > 0.0
 
 
 @given(

@@ -7,7 +7,7 @@ from pathlib import Path
 import katoflow
 
 # parameters with a default, **kwargs, and dataclass fields with a default
-SETTABLE_VALUES = 58
+SETTABLE_VALUES = 56
 
 
 def _is_dataclass(node):

@@ -38,6 +38,12 @@ def test_bad_config_value_exits_2(tmp_path):
     ("molecule", 'calibrate="no"'),
     ("fk", "grid_step=0"),
     ("fk", "grid_step=-0.1"),
+    ("couple", "grid_step=0"),  # the coupling simulators build their own grid
+    ("couple", "grid_step=-0.1"),
+    ("holder", "t_grid=[-1]"),
+    ("duhamel", "t=0"),
+    ("kernel-checks", "t_grid=[0]"),
+    ("duhamel", "psi_width=0"),
     ("fk", "n_paths=0"),
     ("theorem", "n_paths=0"),
     ("khashminskii", "n_paths=0"),

@@ -34,15 +34,15 @@ def _half_l1(separation, t):
 
 def test_tv_conventions_agree():
     for sep, t in [(0.5, 0.25), (1.0, 1.0), (2.0, 4.0)]:
-        cf = coupling.total_variation_gaussian(3, sep, t)
+        cf = coupling.total_variation_gaussian(sep, t)
         qd = _half_l1(sep, t)
         assert cf == pytest.approx(qd, abs=1e-9)
 
 
 def test_tv_closed_form_is_the_normal_cdf():
-    for d, sep, t in [(1, 2.0, 1.0), (3, 0.5, 0.25), (2, 7.0, 0.3), (1, 0.0, 2.0)]:
+    for sep, t in [(2.0, 1.0), (0.5, 0.25), (7.0, 0.3), (0.0, 2.0)]:
         expected = 2.0 * stats.norm.cdf(sep / (2.0 * math.sqrt(2.0 * t))) - 1.0
-        assert coupling.total_variation_gaussian(d, sep, t) == expected
+        assert coupling.total_variation_gaussian(sep, t) == expected
 
 
 def test_ks_normal_is_scipys_kstest_bit_for_bit():
@@ -67,10 +67,10 @@ def test_ks_normal_is_scipys_kstest_bit_for_bit():
 
 
 def test_tv_limits():
-    assert coupling.total_variation_gaussian(1, 0.0, 1.0) == 0.0
-    assert coupling.total_variation_gaussian(1, 500.0, 1.0) == pytest.approx(1.0)
+    assert coupling.total_variation_gaussian(0.0, 1.0) == 0.0
+    assert coupling.total_variation_gaussian(500.0, 1.0) == pytest.approx(1.0)
     with pytest.raises(TimeDomainError):
-        coupling.total_variation_gaussian(1, 1.0, 0.0)
+        coupling.total_variation_gaussian(1.0, 0.0)
 
 
 def test_trivial_coupling_from_equal_points():

@@ -271,17 +271,14 @@ def test_submersion_projections():
     assert np.allclose((raw_diff / math.sqrt(2.0)).var(axis=0), 2 * h, rtol=0.05)
 
 
-def test_molecule_json_roundtrip(tmp_path):
-    spec = {"m": 2, "nuclei": [{"R": [0, 0, 0], "Z": 2.0}]}
-    f = tmp_path / "mol.json"
-    f.write_text(potentials.json.dumps(spec))
-    mol = potentials.load_molecule(str(f))
+def test_molecule_json_roundtrip():
+    spec = json.loads(json.dumps({"m": 2, "nuclei": [{"R": [0, 0, 0], "Z": 2.0}]}))
+    mol = potentials.load_molecule(spec)
     assert mol.m == 2 and mol.l == 1 and mol.Z[0] == 2.0
     with pytest.raises(InvalidPointError):
         potentials.load_molecule({"m": 1, "nuclei": [], "extra": 1})
-    f.write_text(potentials.json.dumps({"m": 1, "nuclei": [{"R": [0, 0], "Z": 1}]}))
     with pytest.raises(ConfigError):
-        potentials.load_molecule(str(f))
+        potentials.load_molecule({"m": 1, "nuclei": [{"R": [0, 0], "Z": 1}]})
 
 
 def test_molecular_per_term_closed_form_matches_quadrature_at_center():
@@ -295,8 +292,8 @@ def test_molecular_per_term_closed_form_matches_quadrature_at_center():
 
 def test_certificate_json():
     cert = potentials.kato_integral(COULOMB, 0.5, 1.0)
-    blob = json.dumps(reports.jsonable(cert.to_dict()), allow_nan=False)
-    assert "kato_certificate" in blob and "sup_witness" in blob
+    blob = json.dumps(reports.jsonable(vars(cert)), allow_nan=False)
+    assert '"method": "closed_form"' in blob and "sup_witness" in blob
 
 
 def test_kato_integral_validates_inputs():
