@@ -12,10 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy import integrate, optimize
 
 from . import feynman_kac as fk
-from . import streams
+from . import quadrature, streams
 from . import potentials as pot
 from .spaces import Euclidean
 from .errors import DivergentBoundError, TimeDomainError
@@ -57,7 +56,8 @@ def holder_cap(K, t, alpha):
 
 
 def heat_semigroup_1d(t, f, xs):
-    """P_t f on euclidean(1) by adaptive quadrature against the exact kernel."""
+    """P_t f on euclidean(1) by adaptive quadrature against the exact kernel,
+    with f's breakpoints among the first interval edges."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     width = 2.0 * math.sqrt(t * math.log(1e18))
     out = np.empty(xs.size)
@@ -69,16 +69,10 @@ def heat_semigroup_1d(t, f, xs):
         inner = [b for b in breaks if lo < b < hi]
 
         def integrand(y):
-            return (
-                (4.0 * math.pi * t) ** -0.5
-                * math.exp(-((y - x) ** 2) / (4.0 * t))
-                * float(f(np.array([[y]]))[0])
-            )
+            kernel = (4.0 * math.pi * t) ** -0.5 * np.exp(-((y - x) ** 2) / (4.0 * t))
+            return kernel * f(y[:, None])
 
-        val, _ = integrate.quad(
-            integrand, lo, hi, points=inner or None, limit=300
-        )
-        out[i] = val
+        out[i] = quadrature.integrate(integrand, [lo, *inner, hi])
     return out
 
 
@@ -461,9 +455,11 @@ def calibrate_molecular_constants(measurements, alpha, m, r_exponent):
         while ratio_gap(hi) < 0 and hi < 64.0:
             hi *= 2.0
         if ratio_gap(hi) > 0:
-            c_rz = float(optimize.brentq(ratio_gap, 0.0, hi))
-        else:
-            c_rz = hi
+            lo = 0.0
+            for _ in range(64):  # to within 64 / 2^64 < 4e-18
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if ratio_gap(mid) < 0 else (lo, mid)
+        c_rz = hi
     c_mz = max(
         q / _molecular_shape(t, m, r_exponent, alpha, c_rz) for t, q in measurements
     )

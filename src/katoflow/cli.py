@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import bounds, coupling, feynman_kac as fk, functions
+from . import bounds, coupling, feynman_kac as fk, functions, paths
 from . import potentials as pot
 from . import spaces
 from .errors import ConfigError, KatoflowError, TooSmallTimeError
@@ -606,7 +606,18 @@ def _fields(where, schema, supplied):
 
 
 def _validate(suite, supplied):
-    return _fields(suite, SUITES[suite][1], supplied)
+    params = _fields(suite, SUITES[suite][1], supplied)
+    # the coupling simulators draw tau on the grid of grid_step up to the
+    # horizon, and {tau > t} is exact only at a grid time
+    if suite == "couple" and not (
+        params["grid_step"] > 0
+        and all(paths.whole_steps(t, params["grid_step"]) for t in params["t_grid"])
+    ):
+        raise ConfigError(
+            f"couple.grid_step = {params['grid_step']!r} must be positive and "
+            f"divide every time of t_grid {params['t_grid']!r}"
+        )
+    return params
 
 
 # a table's columns after its parameter keys

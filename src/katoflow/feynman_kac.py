@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import paths
 from . import potentials as pot
@@ -440,12 +440,13 @@ def duhamel_residual(V, psi, t, n_time_steps):
     h = t / n_time_steps
 
     # xs[i] - xs[j] = +-lag[|i - j|] bit for bit on this grid, so the kernel
-    # matrix is the symmetric Toeplitz matrix of its values on the n lags
+    # matrix is the symmetric Toeplitz matrix of its values on the n lags:
+    # row i is the window of (k[n-1], ..., k[1], k[0], ..., k[n-1]) at n-1-i
     lag = xs - xs[0]
 
     def p_matrix(s):
         k = (4.0 * math.pi * s) ** -0.5 * np.exp(-lag * lag / (4.0 * s)) * dx
-        return linalg.toeplitz(k)
+        return sliding_window_view(np.concatenate((k[:0:-1], k)), n)[::-1].copy()
 
     d_half = np.exp(-0.5 * h * vvec)
     p_h = p_matrix(h)

@@ -13,13 +13,22 @@ import numpy as np
 from .errors import TimeDomainError
 
 
+def whole_steps(horizon, grid_step):
+    """n when horizon is n >= 1 steps of grid_step, to 1e-12; else None."""
+    ratio = horizon / grid_step
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
+    if n >= 1 and abs(n * grid_step - horizon) < 1e-12 * max(1.0, horizon):
+        return n
+    return None
+
+
 def _grid(horizon, grid_step):
     """(times, steps) on [0, horizon]: n steps of exactly horizon/n when
     grid_step divides horizon, else steps of grid_step closed by a shorter one."""
     if grid_step <= 0:
         raise TimeDomainError("grid_step must be > 0")
-    n = int(round(horizon / grid_step))
-    if abs(n * grid_step - horizon) < 1e-12 * max(1.0, horizon) and n >= 1:
+    n = whole_steps(horizon, grid_step)
+    if n is not None:
         return np.linspace(0.0, horizon, n + 1), np.full(n, horizon / n)
     times = np.append(np.arange(0.0, horizon, grid_step), horizon)
     return times, np.diff(times)

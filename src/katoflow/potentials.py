@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from . import streams
+from . import quadrature, streams
 from .spaces import _row_distances, euclidean
 from .errors import ConfigError, InvalidPointError, TimeDomainError
 
@@ -356,14 +356,10 @@ def weighted_time_integral(m_fn, alpha, t, c_lead, extra_weight=None):
         return math.inf
     power = 1.0 - beta
 
-    def integrand(u):
-        s = max(u, 0.0) ** (1.0 / power)
-        return g(max(s, 1e-300))
+    def integrand(us):
+        return [g(max(u ** (1.0 / power), 1e-300)) for u in us.tolist()]
 
-    val, _ = integrate.quad(
-        integrand, 0.0, t**power, limit=300, epsabs=1e-12, epsrel=1e-10
-    )
-    return val / power
+    return quadrature.integrate(integrand, [0.0, t**power]) / power
 
 
 # ---------------------------------------------------------------------------

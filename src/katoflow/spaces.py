@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy import integrate
 
-from . import streams
+from . import quadrature, streams
 from .errors import InvalidPointError, TimeDomainError, TooSmallTimeError
 
 _SPHERE_MIN_TIME = 1e-3  # below this the spectral series is not certified
@@ -137,18 +136,14 @@ class Euclidean(StateSpace):
         area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
         def dens(rho):
-            # this product order, not area * rho^(d-1) * kernel_at(t, rho),
-            # which moves the last bit of the euclidean(3) defect
             return (
                 area
                 * rho ** (d - 1)
                 * (4.0 * math.pi * t) ** (-d / 2.0)
-                * math.exp(-rho * rho / (4.0 * t))
+                * np.exp(-rho * rho / (4.0 * t))
             )
 
-        hi = 20.0 * math.sqrt(t) + 1.0
-        val, _ = integrate.quad(dens, 0.0, hi, limit=200)
-        return val
+        return quadrature.integrate(dens, [0.0, 20.0 * math.sqrt(t) + 1.0])
 
     def ball_volume(self, radius):
         d = self.dimension
@@ -446,13 +441,10 @@ def exact_sphere_moment(space, t, order):
     r = space.radius
 
     def dens(theta):
-        weight = (r * theta) ** order
-        return weight * 2.0 * math.pi * r * r * math.sin(theta) * float(
-            space.sphere_kernel_theta(t, theta)
-        )
+        weight = (r * theta) ** order * 2.0 * math.pi * r * r * np.sin(theta)
+        return weight * space.sphere_kernel_theta(t, theta)
 
-    val, _ = integrate.quad(dens, 0.0, math.pi, limit=200)
-    return val
+    return quadrature.integrate(dens, [0.0, math.pi])
 
 
 def conservativeness_defect(space, t, x):
@@ -472,10 +464,12 @@ def chapman_kolmogorov_defect(space, t, s, x, y):
     w = 14.0 * math.sqrt(max(t, s)) + abs(x[0]) + abs(y[0]) + 1.0
 
     def integrand(z):
-        pz = np.array([z])
-        return space.heat_kernel(t, x, pz) * space.heat_kernel(s, pz, y)
+        return (
+            (4.0 * math.pi * t) ** -0.5 * np.exp(-((z - x[0]) ** 2) / (4.0 * t))
+            * (4.0 * math.pi * s) ** -0.5 * np.exp(-((z - y[0]) ** 2) / (4.0 * s))
+        )
 
-    val, _ = integrate.quad(integrand, -w, w, limit=400)
+    val = quadrature.integrate(integrand, [-w, w])
     return abs(val - space.heat_kernel(t + s, x, y))
 
 

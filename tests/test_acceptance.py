@@ -250,16 +250,20 @@ def test_c12_verdict_count_equals_check_count(tmp_path, capsys):
 
 # SHA-256 of the c12 tables at --seed 99 whose estimators have no control
 # variate (their Phi has no free mean), as written before the ball's control
-# existed; numpy 2.4, scipy 1.17
+# existed; numpy 2.4, scipy 1.17.  kato_results.csv, moments_results.csv and
+# records.ndjson were re-pinned when katoflow.quadrature replaced QUADPACK:
+# only the quadrature values moved (the kato quadrature rows and the sphere
+# moment's reference, by at most 2.5e-16 relative), and no Monte Carlo value,
+# stderr or verdict did
 C12_UNCONTROLLED_SHA256 = {
     "fk_results.csv": "436d76c1ad6f0f8062f32c120e0cdd2b298fda3f3f4866c43b0ed706506a467f",
     "kato_classification_results.csv":
         "635d7e1c3ef3b90c1209e80273dee0855bffe912c594507403a1aab30148f545",
-    "kato_results.csv": "a2269034d9774d29c32946d937f8ae5353ff8424e462d2b1ab8c8086f07154ce",
+    "kato_results.csv": "acaba5a80b0e1f95431b028f2f330ee52f849590fe0c1e098cb0eee5923a7e36",
     "khashminskii_results.csv":
         "bde5c8a2f68140dff67408f231f4fc48b5a95498985ca976b49655f565bc3a8e",
-    "moments_results.csv": "b349ce157d0f7728dda78ab84e3a3ac3caeedb4e13a491b479e00622e569b049",
-    "records.ndjson": "7522b8eb478af21ba36f148879a6c53cec1297e4a1f1cbf91187953202901977",
+    "moments_results.csv": "571292f1d38a02b0e112e732f857822c6a72505dcffb2d27ccb7ebb61d113bd2",
+    "records.ndjson": "e37d8d09b8c699dd88de0302f0976e50fbecbb746d9aa6f2e06124e3f0874aba",
 }
 
 

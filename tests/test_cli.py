@@ -448,3 +448,65 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
          "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip().splitlines()[-1] == "0 False"
+
+
+# scipy modules that no run needs: quadrature is katoflow.quadrature, the
+# calibration root a bisection and the Duhamel kernel a numpy index
+UNUSED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+
+
+def test_runs_load_no_scipy_integrate_optimize_linalg_or_sparse(tmp_path):
+    """scipy.integrate, which loads scipy.optimize and scipy.sparse with it,
+    and scipy.linalg cost every process about 26 MB and 0.3 s of import.
+    Neither the CLI import nor a run of all ten suites loads any of them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = f"sorted(m for m in {UNUSED_SCIPY!r} if m in sys.modules)"
+    probe = f"import sys, katoflow.cli; print({loaded})"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kernel-checks": {"n_ks": 12000},
+        "moments": {"n_samples": 10000},
+        "couple": {"n_runs": 10000, "t_grid": [0.25, 1.0]},
+        "kato": {"mc_samples": 1000},
+        "fk": {"n_paths": 1000},
+        "khashminskii": {"n_paths": 1000},
+        "duhamel": {},
+        "holder": {"t_grid": [0.5]},
+        "theorem": {"n_paths": 200, "t_grid": [0.5]},
+        "molecule": {"n_paths": 200},
+    }))
+    run_all = ("import sys, katoflow.cli; code = katoflow.cli.main(sys.argv[1:]); "
+               f"print({loaded})")
+    done = subprocess.run(
+        [sys.executable, "-c", run_all, "all", "--config", str(cfg), "--seed", "1",
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, check=True)
+    printed = done.stdout.strip().splitlines()
+    assert len([line for line in printed if " verdicts, " in line]) == 10
+    assert printed[-1] == "[]"
+
+
+@pytest.mark.parametrize("grid_step", ["0.3", "5", "1e-310"])
+def test_couple_refuses_a_grid_step_off_its_times(tmp_path, monkeypatch, grid_step):
+    """couple's tau lies on the grid of grid_step, and {tau > t} is exact only
+    at grid times: a step that does not divide every time of t_grid (0.3), one
+    beyond the horizon (5), or one so small that t / grid_step overflows, is a
+    config error before any suite runs."""
+    def refuse(*_args):
+        raise AssertionError("a suite ran on a config that fails validation")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    assert run(["couple", "--seed", "1", "--out", str(tmp_path / "o"),
+                "--set", f"grid_step={grid_step}"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_couple_default_grid_step_holds(tmp_path):
+    out = tmp_path / "o"
+    assert run(["couple", "--seed", "1", "--out", str(out), "--set", "n_runs=20000",
+                "--set", "grid_step=0.125"]) == 0
+    assert (out / "couple_results.csv").exists()

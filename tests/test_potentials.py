@@ -211,15 +211,17 @@ def test_kato_subadditivity_two_nuclei():
 
 def test_kato_quadrature_two_nuclei_keeps_its_bits():
     """The two-nucleus quadrature bound, witness and candidate values, bit for
-    bit: the sup search evaluates each candidate once and nothing more."""
+    bit: the sup search evaluates each candidate once and nothing more.  Pinned
+    from katoflow.quadrature's G7K15 rule; QUADPACK gave 4.334583971524279 and
+    2.976067963103027, within 1.2e-15 relative."""
     duo = potentials.MolecularPotential(
         1, [(0.0, 0.0, 0.0), (1.4, 0.0, 0.0)], [1.0, 2.0]
     )
     cert = potentials.kato_integral(duo, 0.5, 0.5, method="quadrature")
-    assert cert.bound == 4.334583971524279
+    assert cert.bound == 4.334583971524282
     assert cert.sup_witness.tolist() == [1.4, 0.0, 0.0]
     assert cert.details["candidate_values"] == [
-        2.976067963103027, 4.334583971524279, 2.976067963103027, 2.571224593197447
+        2.9760679631030307, 4.334583971524282, 2.9760679631030307, 2.571224593197447
     ]
 
 
