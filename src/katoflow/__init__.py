@@ -36,6 +36,5 @@ from .bounds import (  # noqa: F401
     A_constant,
     verify_main_theorem,
     corollary_B_constant,
-    molecular_bound,
 )
 from .reports import Check  # noqa: F401

@@ -1,6 +1,6 @@
 """The constants engine: F_K, C(V,K,alpha,r), A(V,K,alpha,t), the submersion
-corollary's B, the molecular L^r -> C^{0,alpha} shape, and the empirical
-Hoelder/Lipschitz quotients they must dominate.
+corollary's B, and the empirical Hoelder/Lipschitz quotients they must
+dominate.
 
 Quotient suprema are searched on a deterministic multi-scale pair grid, so a
 measured quotient is a certified lower bound of the true sup; every theorem
@@ -409,61 +409,6 @@ def verify_eigenfunction_corollary(psi, lam, V, alpha, t, pairs):
     worst, _se, witness = _worst_pair(_exact_rows(V.space, pairs, value), alpha, 1.0)
     return Check("eigenfunction", {"lambda": lam, "alpha": alpha, "t": t}, worst, cap,
                  details={"K": K, "witness": witness})
-
-
-# ---------------------------------------------------------------------------
-# the molecular L^r -> C^{0,alpha} shape
-# ---------------------------------------------------------------------------
-
-
-def molecular_bound(m, r_exponent, alpha, t, c_mz, c_rz):
-    """C_mz t^{-3m/2r} e^{C_rz t} (2^{1-a} t^{-a/2} + (t/4)^{(1-a)/2}/((1-a)/2) e^{C_rz t}).
-
-    The alpha- and t-shape is the claim; the absolute constants are inputs."""
-    if not 0.0 < alpha < 1.0:
-        raise TimeDomainError("molecular bound needs alpha in (0, 1)")
-    if t <= 0:
-        raise TimeDomainError("t must be > 0")
-    lr_factor = 1.0 if math.isinf(r_exponent) else t ** (-3.0 * m / (2.0 * r_exponent))
-    body = 2.0 ** (1.0 - alpha) * t ** (-alpha / 2.0) + (
-        (t / 4.0) ** ((1.0 - alpha) / 2.0) / ((1.0 - alpha) / 2.0)
-    ) * math.exp(c_rz * t)
-    return c_mz * lr_factor * math.exp(c_rz * t) * body
-
-
-def _molecular_shape(t, m, r_exponent, alpha, c_rz):
-    return molecular_bound(m, r_exponent, alpha, t, 1.0, c_rz)
-
-
-def calibrate_molecular_constants(measurements, alpha, m, r_exponent):
-    """Fit (C_mz, C_rz) so the molecular shape dominates the measurements.
-
-    C_rz >= 0 is fitted from the ratio of the two extreme measurements when
-    the data grows faster than the base shape, else pinned at 0; C_mz is the
-    smallest prefactor that dominates every calibration point."""
-    measurements = sorted(measurements)
-    (t1, q1), (t2, q2) = measurements[0], measurements[-1]
-
-    def ratio_gap(c_rz):
-        s1 = _molecular_shape(t1, m, r_exponent, alpha, c_rz)
-        s2 = _molecular_shape(t2, m, r_exponent, alpha, c_rz)
-        return (s2 / s1) - (q2 / q1)
-
-    c_rz = 0.0
-    if ratio_gap(0.0) < 0:  # measured grows faster than the flat shape
-        hi = 1.0
-        while ratio_gap(hi) < 0 and hi < 64.0:
-            hi *= 2.0
-        if ratio_gap(hi) > 0:
-            lo = 0.0
-            for _ in range(64):  # to within 64 / 2^64 < 4e-18
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if ratio_gap(mid) < 0 else (lo, mid)
-        c_rz = hi
-    c_mz = max(
-        q / _molecular_shape(t, m, r_exponent, alpha, c_rz) for t, q in measurements
-    )
-    return c_mz, c_rz
 
 
 def measured_holder_quotient_mc(V, phi, alpha, t, pairs, n_paths, seed, workers=1):

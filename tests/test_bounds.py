@@ -276,34 +276,6 @@ def test_corollary_B_lithium_needs_more_than_255_splits():
     assert math.isfinite(b) and b > 0
 
 
-def test_molecular_bound_shape():
-    with pytest.raises(TimeDomainError):
-        bounds.molecular_bound(1, math.inf, 1.0, 1.0, 1.0, 0.0)
-    v1 = bounds.molecular_bound(1, math.inf, 0.5, 1.0, 1.0, 0.0)
-    assert v1 == pytest.approx(2**0.5 + (0.25**0.25) * 4.0, rel=1e-12)
-    # r = inf kills the t^{-3m/2r} factor
-    vr = bounds.molecular_bound(2, 4.0, 0.5, 2.0, 1.0, 0.0)
-    vr_inf = bounds.molecular_bound(2, math.inf, 0.5, 2.0, 1.0, 0.0)
-    assert vr == pytest.approx(vr_inf * 2.0 ** (-6.0 / 8.0), rel=1e-12)
-    # alpha -> 1 blow-up like 2/(1-alpha)
-    alphas = np.linspace(0.8, 0.98, 8)
-    vals = [
-        bounds.molecular_bound(1, math.inf, a, 1.0, 1.0, 0.0)
-        for a in alphas
-    ]
-    assert potentials.fit_blowup_exponent(alphas, vals) == pytest.approx(-1.0, abs=0.12)
-
-
-def test_calibration_dominates_and_extrapolates():
-    alpha, m = 0.5, 1
-    meas = [(0.5, 1.1), (1.0, 0.8)]
-    c_mz, c_rz = bounds.calibrate_molecular_constants(meas, alpha, m, math.inf)
-    assert c_rz >= 0.0
-    for t, q in meas:
-        assert bounds.molecular_bound(m, math.inf, alpha, t, c_mz, c_rz) >= q - 1e-9
-    assert bounds.molecular_bound(m, math.inf, alpha, 2.0, c_mz, c_rz) > 0.0
-
-
 @given(
     st.floats(min_value=0.05, max_value=0.95),
     st.floats(min_value=0.05, max_value=4.0),

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import katoflow
-from katoflow import cli, potentials, spaces
+from katoflow import bounds, cli, functions, potentials, spaces
+from katoflow.reports import CATEGORICAL, HOLDS, UPPER, VIOLATED
 
 
 def run(args):
@@ -35,7 +37,7 @@ def test_bad_config_value_exits_2(tmp_path):
 @pytest.mark.parametrize("suite,override", [
     ("fk", "n_paths=true"),
     ("fk", 'grid_step="abc"'),
-    ("molecule", 'calibrate="no"'),
+    ("fk", 'potential={"type":"coulomb","attractive":"no"}'),
     ("fk", "grid_step=0"),
     ("fk", "grid_step=-0.1"),
     ("couple", "grid_step=0"),  # the coupling simulators build their own grid
@@ -118,7 +120,10 @@ def test_bad_molecule_file_exits_2(tmp_path, capsys, content):
     ("kato", "classify_t_grid=[0.5]"),
     ("molecule", "classify_t_grid=[0.5]"),
     ("kato", 't_grid=["a"]'),
-    ("molecule", "calibration_t=[0.5, true]"),
+    ("molecule", "alpha_grid=[0.5, true]"),
+    ("fk", "grid_step=0"),
+    ("fk", "grid_step=1e-310"),  # t / grid_step overflows
+    ("khashminskii", "steps=0"),
 ])
 def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, override):
     def refuse(*_args):
@@ -450,8 +455,8 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "0 False"
 
 
-# scipy modules that no run needs: quadrature is katoflow.quadrature, the
-# calibration root a bisection and the Duhamel kernel a numpy index
+# scipy modules that no run needs: quadrature is katoflow.quadrature and the
+# Duhamel kernel a numpy index
 UNUSED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
 
@@ -510,3 +515,64 @@ def test_couple_default_grid_step_holds(tmp_path):
     assert run(["couple", "--seed", "1", "--out", str(out), "--set", "n_runs=20000",
                 "--set", "grid_step=0.125"]) == 0
     assert (out / "couple_results.csv").exists()
+
+
+def _corollary_B_row(checks):
+    """(index, check) of the molecule table's corollary_B row."""
+    return next((i, c) for i, c in enumerate(checks)
+                if c.parameters["stage"] == "corollary_B")
+
+
+def test_molecule_corollary_B_row_is_one_quotient_against_the_explicit_constant(
+        monkeypatch):
+    """At the c12 config and seed 99, the corollary_B row is the one Monte
+    Carlo call of the molecule suite: the unit ball's Hoelder quotient at the
+    suite's t and middle alpha, from the row's own substream, against
+    2^{1-a}F_K(t)^a + B."""
+    calls = []
+    measured_holder_quotient_mc = bounds.measured_holder_quotient_mc
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return measured_holder_quotient_mc(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "measured_holder_quotient_mc", counted)
+    checks = cli.run_suite("molecule", cli._validate("molecule", {"n_paths": 1200}), 99)
+    i, row = _corollary_B_row(checks)
+    assert len(checks) == 8 and len(calls) == 1
+    mol = potentials.load_molecule({"m": 1, "nuclei": [{"R": [0, 0, 0], "Z": 1.0}]})
+    pairs = bounds.pair_grid_euclidean(mol.space, anchors=[np.zeros(3)], scale=1.0,
+                                       k_max=3)
+    direct = measured_holder_quotient_mc(
+        mol, functions.BallIndicator(np.zeros(3), 1.0), 0.75, 1.0, pairs, 1200, (99, i))
+    b = bounds.corollary_B_constant([potentials.CoulombPotential((0, 0, 0), 1.0)], [],
+                                    0.0, 0.75, 1.0)
+    assert (row.measured, row.stderr) == direct
+    assert row.reference == bounds.holder_cap(0.0, 1.0, 0.75) + b
+    assert row.sidedness == UPPER and row.verdict == HOLDS
+
+
+def test_molecule_infinite_B_is_violated_without_monte_carlo(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an infinite B ran the Monte Carlo quotient")
+
+    monkeypatch.setattr(bounds, "corollary_B_constant", lambda *_args: math.inf)
+    monkeypatch.setattr(bounds, "measured_holder_quotient_mc", refuse)
+    checks = cli.run_suite("molecule", cli._validate("molecule", {}), 1)
+    _i, row = _corollary_B_row(checks)
+    assert row.verdict == VIOLATED and math.isinf(row.reference)
+
+
+@pytest.mark.parametrize("suite,config,reason", [
+    ("duhamel", {"step_ladder": [8, 16]}, "no previous residual"),
+    ("kato", {"potential": {"type": "hydrogen"}, "alpha_grid": [0.5], "t_grid": [0.25],
+              "mc_samples": 0}, "no finite closed form"),
+    ("fk", {"potential": {"type": "constant", "c": 1.0}, "n_paths": 200}, "no oracle"),
+])
+def test_rows_that_cannot_fail_are_categorical(suite, config, reason):
+    """A row with nothing to compare against holds by construction, and says
+    so: categorical, with the reason in its details."""
+    checks = cli.run_suite(suite, cli._validate(suite, config), 1)
+    unfailing = [c for c in checks if c.details.get("reason") == reason]
+    assert len(unfailing) == 1
+    assert unfailing[0].sidedness == CATEGORICAL and unfailing[0].verdict == HOLDS

@@ -2,11 +2,9 @@
 katoflow, computed once by ``quadrature.integrate`` and once with that rule
 replaced by ``scipy.integrate.quad`` on the same integrand and edges."""
 
-import math
-
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate
 
 from katoflow import bounds, functions, potentials, quadrature, spaces
 from katoflow.errors import PrecisionError
@@ -93,17 +91,3 @@ def test_the_cap_raises_instead_of_returning_an_unconverged_value():
     the same error on the first interval, so the rule reaches its cap."""
     with pytest.raises(PrecisionError, match="intervals"):
         quadrature.integrate(lambda x: 1.0 / x, [0.0, 1.0])
-
-
-def test_calibration_bisection_finds_brentqs_root():
-    """calibrate_molecular_constants bisects its bracket to the root that
-    scipy's brentq finds, within brentq's own 2e-12 tolerance."""
-    meas, alpha, m = [(0.5, 1.0), (1.0, 3.0)], 0.5, 1
-    _c_mz, c_rz = bounds.calibrate_molecular_constants(meas, alpha, m, math.inf)
-
-    def ratio_gap(c):
-        s1, s2 = (bounds.molecular_bound(m, math.inf, alpha, t, 1.0, c) for t, _ in meas)
-        return s2 / s1 - meas[1][1] / meas[0][1]
-
-    assert c_rz > 0.0
-    assert c_rz == pytest.approx(optimize.brentq(ratio_gap, 0.0, 64.0), abs=2e-12)
