@@ -30,7 +30,6 @@ from .feynman_kac import (  # noqa: F401
 )
 from .bounds import (  # noqa: F401
     f_K,
-    lipschitz_quotient,
     holder_quotient,
     C_constant,
     A_constant,

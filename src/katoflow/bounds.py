@@ -206,11 +206,6 @@ def _worst_pair(rows, alpha, norm):
     return best, best_se, witness
 
 
-def lipschitz_quotient(space, t, f, pairs=None):
-    """Measured sup |P_t f(x)-P_t f(y)| / (d(x,y) ||f||) against F_K(t)."""
-    return holder_quotient(space, t, 1.0, f, pairs=pairs)
-
-
 def holder_quotient(space, t, alpha, f, pairs=None):
     """Measured sup quotient with d^alpha against 2^{1-alpha} F_K(t)^alpha."""
     if t <= 0:
@@ -279,11 +274,6 @@ def A_constant(V, K, alpha, t, c_exp_bound):
     return 2.0 ** (2.0 - alpha) * c_exp_bound * c_half
 
 
-def theorem_cap(V, K, alpha, t, c_exp_bound):
-    """2^{1-alpha} F_K(t)^alpha + A(V, K, alpha, t)."""
-    return holder_cap(K, t, alpha) + A_constant(V, K, alpha, t, c_exp_bound)
-
-
 def corollary_B_constant(vj_terms, vij_terms, K, alpha, t):
     """Submersion corollary constant from base-space (R^3) term potentials.
 
@@ -316,13 +306,12 @@ def corollary_B_constant(vj_terms, vij_terms, K, alpha, t):
 # ---------------------------------------------------------------------------
 
 
-def _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers, kato0):
+def _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers):
     """(x, y, d, |difference|, stderr) per pair with d(x, y) > 0, where the
     difference of e^{-tH_V}Phi at x and y is one coupled Feynman-Kac
     estimate: both legs share the pair's Brownian increments.
 
-    Pair i of ``pairs`` draws from substream (seed, i), and every pair shares
-    the alpha=0 certificate ``kato0`` that admits V.  The ``workers`` split
+    Pair i of ``pairs`` draws from substream (seed, i).  The ``workers`` split
     the pairs, so each estimate runs its chunks in turn and the rows do not
     depend on the worker count."""
     separated = _separated(V.space, pairs)
@@ -331,8 +320,7 @@ def _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers, kato0):
         i, x, y, _dist = item
         est = fk.fk_evaluate(
             V, phi, np.array([x, y], dtype=float), t, n_paths,
-            seed=streams.combine_seed(seed, i), kato0=kato0, workers=1,
-            check_bound=False,
+            seed=streams.combine_seed(seed, i), workers=1,
         )
         return float(abs(est.value[2])), float(est.stderr[2])
 
@@ -364,11 +352,10 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
     if pairs is None:
         anchors = [np.asarray(c, dtype=float) for c in V.sup_candidates()]
         pairs = pair_grid_euclidean(space, anchors=anchors, scale=1.0, k_max=6)
-    kato0 = pot.kato_integral(V, 0.0, t)
-    khash = fk.khashminskii_certify(V, t, kato0=kato0)
+    khash = fk.khashminskii_certify(V, t)
     a_val = A_constant(V, K, alpha, t, khash.bound_on_C_exp)
     cap = holder_cap(K, t, alpha) + a_val
-    pair_rows = _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers, kato0)
+    pair_rows = _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers)
     rows = [
         {
             "x": list(np.asarray(x, float)),
@@ -392,29 +379,8 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
     )
 
 
-def verify_eigenfunction_corollary(psi, lam, V, alpha, t, pairs):
-    """|Psi(x)-Psi(y)| <= e^{t lam} (2^{1-a}F_K^a + A) ||Psi|| d^a pointwise,
-    with K the Ricci lower bound of V's space."""
-    K = V.space.ricci_lower_bound
-    khash = fk.khashminskii_certify(V, t)
-    cap = (
-        math.exp(t * lam)
-        * theorem_cap(V, K, alpha, t, khash.bound_on_C_exp)
-        * psi.sup_norm
-    )
-
-    def value(p):
-        return float(psi(np.asarray(p, dtype=float)[None, :])[0])
-
-    worst, _se, witness = _worst_pair(_exact_rows(V.space, pairs, value), alpha, 1.0)
-    return Check("eigenfunction", {"lambda": lam, "alpha": alpha, "t": t}, worst, cap,
-                 details={"K": K, "witness": witness})
-
-
 def measured_holder_quotient_mc(V, phi, alpha, t, pairs, n_paths, seed, workers=1):
     """(max quotient, stderr at the witness) of e^{-tH_V}Phi over a pair grid."""
-    rows = _fk_pair_rows(
-        V, phi, t, pairs, n_paths, seed, workers, pot.kato_integral(V, 0.0, t)
-    )
+    rows = _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers)
     best, best_se, _pair = _worst_pair(rows, alpha, phi.sup_norm)
     return best, best_se

@@ -30,6 +30,14 @@ from .reports import (
 )
 
 
+# the most path steps (t / grid_step, or khashminskii's steps) and Duhamel
+# time steps a config may ask for: 41 times the fk and khashminskii defaults
+_MAX_STEPS = 4096
+# an fk estimate with an oracle must meet it to this fraction of its value
+_ORACLE_TOLERANCE = 0.02
+# each doubling of the Duhamel time steps must cut the residual by this much
+_MIN_RATIO = 3.5
+
 # a molecule file's fields, checked as --set checks the suite's m and nuclei
 _MOLECULE_FILE = {"m": (None, int), "nuclei": (None, list)}
 
@@ -307,16 +315,14 @@ def suite_fk(p, seed, workers):
             v, psi, x, t, p["n_paths"], seed,
             grid_step=p["grid_step"], workers=workers,
         )
-        ref = p["reference_values"].get(str(t))
-        if ref is None:
-            ref = _fk_oracle_reference(v, psi, x, t)
+        ref = _fk_oracle_reference(v, psi, x, t)
         checks.append(Check(
             "fk",
             {"x": json.dumps(x.tolist()), "t": t, "n_paths": est.n_paths,
              "grid_step": est.action_integrator["grid_step"], "seed": json.dumps(seed)},
             est.value, math.nan if ref is None else float(ref), est.stderr,
             CATEGORICAL if ref is None else TWO_SIDED,
-            0.0 if ref is None else p["oracle_tolerance"] * abs(float(ref)),
+            0.0 if ref is None else _ORACLE_TOLERANCE * abs(float(ref)),
             HOLDS if ref is None else None,
             details={"flags": est.flags, **({"reason": "no oracle"} if ref is None else {})},
         ))
@@ -337,7 +343,7 @@ def suite_khashminskii(p, seed, workers):
 
 
 def suite_duhamel(p, seed, workers):
-    """Each doubling of the time steps must cut the residual by min_ratio."""
+    """Each doubling of the time steps must cut the residual by _MIN_RATIO."""
     v = _potential_from(p["potential"])
     psi = functions.SmoothBump(1.0, p["psi_width"])
     checks = []
@@ -347,7 +353,7 @@ def suite_duhamel(p, seed, workers):
         first = previous is None
         checks.append(Check(
             "duhamel", {"n_time_steps": m, "residual": res},
-            math.nan if first else previous / res, p["min_ratio"],
+            math.nan if first else previous / res, _MIN_RATIO,
             sidedness=CATEGORICAL if first else LOWER, verdict=HOLDS if first else None,
             details={"reason": "no previous residual"} if first else {},
         ))
@@ -360,7 +366,7 @@ def suite_holder(p, seed, workers):
     f = functions.Sign() if isinstance(sp, spaces.Euclidean) else functions.HemisphereIndicator()
     checks = []
     for t in p["t_grid"]:
-        checks.append(bounds.lipschitz_quotient(sp, t, f))
+        checks.append(bounds.holder_quotient(sp, t, 1.0, f))
         checks += [bounds.holder_quotient(sp, t, alpha, f) for alpha in p["alpha_grid"]]
     return checks
 
@@ -487,8 +493,6 @@ SUITES = {
             "t_grid": ([0.5], list),
             "n_paths": (10000, int),
             "grid_step": (None, (float, type(None))),
-            "reference_values": ({}, dict),
-            "oracle_tolerance": (0.02, float),
         },
     ),
     "khashminskii": (
@@ -508,7 +512,6 @@ SUITES = {
             "psi_width": (1.5, float),
             "t": (0.5, float),
             "step_ladder": ([8, 16, 32, 64], list),
-            "min_ratio": (3.5, float),
         },
     ),
     "holder": (
@@ -568,24 +571,31 @@ def _accepts(expected, value):
 
 def _fields(where, schema, supplied):
     """The supplied values over the schema's defaults, each checked against
-    its (default, type) entry."""
+    its (default, type) entry; an integer is stored as an int."""
     params = {}
     for key, value in supplied.items():
         if key not in schema:
             raise ConfigError(f"unknown key {where}.{key}")
         default, expected = schema[key]
+        names = expected if isinstance(expected, tuple) else (expected,)
         if not _accepts(expected, value):
-            names = expected if isinstance(expected, tuple) else (expected,)
             raise ConfigError(
                 f"{where}.{key} must be "
                 + " or ".join(_TYPE_NAMES[e] for e in names)
             )
         if value == []:
             raise ConfigError(f"{where}.{key} must not be empty")
-        # a list whose default holds numbers must hold numbers
-        if (isinstance(default, list) and all(_accepts(float, v) for v in default)
-                and not all(_accepts(float, v) for v in value)):
-            raise ConfigError(f"{where}.{key} must be a list of numbers")
+        # a list whose default holds numbers must hold numbers, and one whose
+        # default holds integers must hold integers, stored as ints
+        if isinstance(default, list) and all(_accepts(float, v) for v in default):
+            ints = all(isinstance(v, int) for v in default)
+            if not all(_accepts(int if ints else float, v) for v in value):
+                raise ConfigError(f"{where}.{key} must be a list of "
+                                  + ("integers" if ints else "numbers"))
+            if ints:
+                value = [int(v) for v in value]
+        if int in names and pot._is_number(value):
+            value = int(value)
         if key == "classify_t_grid" and len(value) < 2:
             raise ConfigError(f"{where}.{key} needs at least two times")
         if key == "n_ks" and value < 1:
@@ -605,22 +615,34 @@ def _validate(suite, supplied):
     if suite == "couple" and not (
         params["grid_step"] > 0
         and all(paths.whole_steps(t, params["grid_step"]) for t in params["t_grid"])
+        and max(params["t_grid"]) / params["grid_step"] <= _MAX_STEPS
     ):
         raise ConfigError(
-            f"couple.grid_step = {params['grid_step']!r} must be positive and "
-            f"divide every time of t_grid {params['t_grid']!r}"
+            f"couple.grid_step = {params['grid_step']!r} must be positive, divide "
+            f"every time of t_grid {params['t_grid']!r} and leave at most "
+            f"{_MAX_STEPS} steps"
         )
-    # an fk path has t / grid_step steps, which must be a finite count
+    # an fk path has t / grid_step steps
     if suite == "fk" and params["grid_step"] is not None and not (
         params["grid_step"] > 0
-        and all(math.isfinite(t / params["grid_step"]) for t in params["t_grid"])
+        and all(t / params["grid_step"] <= _MAX_STEPS for t in params["t_grid"])
     ):
         raise ConfigError(
             f"fk.grid_step = {params['grid_step']!r} must be positive and leave "
-            f"t / grid_step finite for every time of t_grid {params['t_grid']!r}"
+            f"t / grid_step at most {_MAX_STEPS} for every time of t_grid "
+            f"{params['t_grid']!r}"
         )
-    if suite == "khashminskii" and params["steps"] < 1:
-        raise ConfigError(f"khashminskii.steps = {params['steps']!r} must be >= 1")
+    if suite == "khashminskii" and not 1 <= params["steps"] <= _MAX_STEPS:
+        raise ConfigError(
+            f"khashminskii.steps = {params['steps']!r} must lie in [1, {_MAX_STEPS}]"
+        )
+    if suite == "duhamel" and not all(
+        1 <= m <= _MAX_STEPS for m in params["step_ladder"]
+    ):
+        raise ConfigError(
+            f"duhamel.step_ladder = {params['step_ladder']!r} must hold counts "
+            f"in [1, {_MAX_STEPS}]"
+        )
     return params
 
 

@@ -9,7 +9,6 @@ never clipped.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,25 +190,18 @@ def _grid_steps(t, grid_step):
     return max(1, int(round(t / grid_step)))
 
 
-def _kato_gate(V, t, kato0):
-    """Feynman-Kac admissibility: Kato certificate or a finite lower bound."""
-    if V.is_zero or V.lower_bound is not None:
-        return kato0
-    if kato0 is not None:
-        if not kato0.finite:
-            raise NonKatoError("supplied alpha=0 certificate is infinite")
-        if kato0.t < t - 1e-12:
-            raise NonKatoError(
-                f"certificate horizon {kato0.t} is below the requested t={t}"
-            )
-        return kato0
-    cert = pot.kato_integral(V, 0.0, t)
-    if not cert.finite:
-        raise NonKatoError(
-            f"{V.name} is not certified alpha=0 Kato at horizon {t}; "
-            "Feynman-Kac evaluation refused"
-        )
-    return cert
+def _weight_bound(V, t):
+    """Bound on sup_x E^x exp(-int_0^t V(w(s)) ds), which bounds every
+    Feynman-Kac estimate by its psi's sup norm: e^{-t min(V, 0)} for V
+    bounded below, else khashminskii_certify's bound on C_exp(V, t), inf
+    when that diverges.  A V that is neither bounded below nor alpha=0 Kato
+    raises NonKatoError: Feynman-Kac evaluation of it is refused."""
+    if V.lower_bound is not None:
+        return math.exp(-min(V.lower_bound, 0.0) * t)
+    try:
+        return khashminskii_certify(V, t).bound_on_C_exp
+    except DivergentBoundError:
+        return math.inf
 
 
 def fk_evaluate(
@@ -220,9 +212,7 @@ def fk_evaluate(
     n_paths,
     seed,
     grid_step=None,
-    kato0=None,
     workers=1,
-    check_bound=True,
 ):
     """Monte Carlo estimate of e^{-tH_V} psi (x).
 
@@ -241,14 +231,19 @@ def fk_evaluate(
     Engineering, 4.1).  The control removes the free part psi(x + W_t) -
     psi(y + W_t) of a pair's noise and leaves the perturbation's.  Without
     a free mean there is no control, and the estimate is the plain mean of
-    the weights."""
+    the weights.
+
+    V is admitted, and its weight bound found, by _weight_bound.  Each leg
+    of a psi with a sup norm is checked against that bound, and one that
+    exceeds it by more than 3 stderrs flags the estimate
+    "integration_bias_warning"."""
     space = V.space
     x = np.asarray(x, dtype=float)
     pair = x.ndim == 2 and x.shape[0] == 2
     x = np.array([space.check_point(p) for p in x]) if pair else space.check_point(x)
     if t <= 0:
         raise TimeDomainError("t must be > 0")
-    kato0 = _kato_gate(V, t, kato0)
+    c_exp = _weight_bound(V, t)
     n_steps = _grid_steps(t, grid_step)
     grid_step = t / n_steps
 
@@ -290,24 +285,11 @@ def fk_evaluate(
         value, stderr = float(value[0]), float(stderr[0])
     flags = []
     sup_psi = getattr(psi, "sup_norm", None)
-    if check_bound and sup_psi is not None:
-        c_exp = None
-        if V.is_zero:
-            c_exp = 1.0
-        elif kato0 is not None and kato0.finite:
-            c_exp = khashminskii_certify(V, t, kato0=kato0).bound_on_C_exp
-        elif V.lower_bound is not None:
-            c_exp = math.exp(-min(V.lower_bound, 0.0) * t)
+    if sup_psi is not None:
         # a pair's legs are each bounded; their difference is not checked
-        legs = np.atleast_1d(value)[:2]
-        excess = np.abs(legs) - 3.0 * np.atleast_1d(stderr)[:2]
-        if c_exp is not None and excess.max() > c_exp * sup_psi:
+        excess = np.abs(np.atleast_1d(value)[:2]) - 3.0 * np.atleast_1d(stderr)[:2]
+        if excess.max() > c_exp * sup_psi:
             flags.append("integration_bias_warning")
-            warnings.warn(
-                "estimate exceeds the Khashminskii bound: "
-                f"|{legs[excess.argmax()]:g}| > {c_exp * sup_psi:g}",
-                stacklevel=2,
-            )
     return SemigroupEstimate(
         x,
         t,
@@ -361,14 +343,15 @@ def khashminskii_bound(kappa_at, r):
         raise DivergentBoundError(f"(1/(1-kappa_k))^{hi} overflows") from None
 
 
-def khashminskii_certify(V, r, kato0=None):
+def khashminskii_certify(V, r):
     """Bound on C_exp(V, r) = sup_x E^x exp(int_0^r |V|) by khashminskii_bound
-    on the alpha=0 Kato certificates of V."""
-    if kato0 is None:
-        kato0 = pot.kato_integral(V, 0.0, r)
-    kappa = kato0.bound + 0.0
+    on the alpha=0 Kato certificates of V; a V whose alpha=0 Kato bound at r
+    is infinite raises NonKatoError."""
+    kappa = pot.kato_integral(V, 0.0, r).bound + 0.0
     if math.isinf(kappa):
-        raise DivergentBoundError("alpha=0 Kato bound is infinite; no certificate")
+        raise NonKatoError(
+            f"{V.name} is not certified alpha=0 Kato at horizon {r}"
+        )
 
     def kappa_at(s):
         return kappa if s == r else pot.kato_integral(V, 0.0, s).bound
@@ -378,7 +361,8 @@ def khashminskii_certify(V, r, kato0=None):
 
 
 class _NegAbs(pot.Potential):
-    """-|V|: feeding this to the action engine yields weights exp(+int |V|)."""
+    """-|V|: feeding this to the action engine yields weights exp(+int |V|).
+    Since |-|V|| = |V|, its Kato questions are those of V."""
 
     def __init__(self, base):
         self.base = base
@@ -392,6 +376,18 @@ class _NegAbs(pot.Potential):
     def singularity_distance(self, pts):
         return self.base.singularity_distance(pts)
 
+    def smoothed_abs(self, s, x):
+        return self.base.smoothed_abs(s, x)
+
+    def coulomb_strength_at(self, x):
+        return self.base.coulomb_strength_at(x)
+
+    def sup_candidates(self):
+        return self.base.sup_candidates()
+
+    def closed_form_kato(self, alpha, t):
+        return self.base.closed_form_kato(alpha, t)
+
 
 def exp_action_moment(V, x, r, n_paths, seed, grid_step=None, workers=1):
     """Empirical (mean, stderr) of exp(int_0^r |V(w(s))| ds) from x."""
@@ -403,9 +399,7 @@ def exp_action_moment(V, x, r, n_paths, seed, grid_step=None, workers=1):
         n_paths,
         seed,
         grid_step=grid_step,
-        kato0=pot.KatoCertificate(0.0, r, 0.0, "gate_bypass"),
         workers=workers,
-        check_bound=False,
     )
     return est.value, est.stderr
 

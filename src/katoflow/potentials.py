@@ -317,10 +317,6 @@ class KatoCertificate:
     stderr: float = 0.0
     details: dict = field(default_factory=dict)
 
-    @property
-    def finite(self):
-        return math.isfinite(self.bound)
-
 
 @dataclass
 class KatoClassification:

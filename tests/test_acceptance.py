@@ -63,7 +63,7 @@ def test_c03_lipschitz_smoothing():
     ok = True
     details = []
     for t in (0.25, 1.0, 4.0):
-        rep = bounds.lipschitz_quotient(E1, t, functions.Sign())
+        rep = bounds.holder_quotient(E1, t, 1.0, functions.Sign())
         target = 1.0 / math.sqrt(math.pi * t)
         ok &= abs(rep.measured - target) / target < 0.01
         ok &= rep.measured <= bounds.f_K(0.0, t) + 1e-9
@@ -185,7 +185,7 @@ def test_c11_sphere_suite():
     ok &= spaces.conservativeness_defect(S2, 1.0, np.array([1.0, 0.0, 0.0])) < 1e-8
     details = []
     for t in (0.5, 1.0):
-        rep = bounds.lipschitz_quotient(S2, t, functions.HemisphereIndicator())
+        rep = bounds.holder_quotient(S2, t, 1.0, functions.HemisphereIndicator())
         cap = bounds.f_K(1.0, t)
         ok &= rep.measured <= cap + 1e-9
         details.append(f"t={t}: {rep.measured:.4f}<={cap:.4f}")

@@ -68,7 +68,7 @@ def test_heat_semigroup_sign_closed_form():
 
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
 def test_lipschitz_quotient_sign(t):
-    report = bounds.lipschitz_quotient(E1, t, functions.Sign())
+    report = bounds.holder_quotient(E1, t, 1.0, functions.Sign())
     target = 1.0 / math.sqrt(math.pi * t)
     assert report.verdict == "holds"
     assert report.measured == pytest.approx(target, rel=0.01)
@@ -77,7 +77,7 @@ def test_lipschitz_quotient_sign(t):
 
 
 def test_lipschitz_quotient_constant_zero():
-    report = bounds.lipschitz_quotient(E1, 1.0, functions.Constant(1.0))
+    report = bounds.holder_quotient(E1, 1.0, 1.0, functions.Constant(1.0))
     assert report.measured == pytest.approx(0.0, abs=1e-12)
 
 
@@ -95,17 +95,10 @@ def test_holder_cap_alpha_half_value():
     assert bounds.holder_cap(0.0, 1.0, 0.5) == pytest.approx(1.18921, abs=5e-6)
 
 
-def test_holder_alpha_one_matches_lipschitz():
-    rep_l = bounds.lipschitz_quotient(E1, 0.5, functions.Sign())
-    rep_h = bounds.holder_quotient(E1, 0.5, 1.0, functions.Sign())
-    assert rep_h.measured == pytest.approx(rep_l.measured, rel=1e-12)
-    assert rep_h.reference == pytest.approx(rep_l.reference, rel=1e-12)
-
-
 def test_sphere_conservativeness_and_lipschitz():
     f = functions.HemisphereIndicator()
     for t in (0.5, 1.0):
-        report = bounds.lipschitz_quotient(S2, t, f)
+        report = bounds.holder_quotient(S2, t, 1.0, f)
         assert report.verdict == "holds"
         assert report.measured <= bounds.f_K(1.0, t)
     assert bounds.f_K(1.0, 0.5) == pytest.approx(
@@ -193,15 +186,6 @@ def test_A_monotone_in_t_closed_form():
     assert vals[0] <= vals[1] <= vals[2]
 
 
-def test_reduction_chain_v0():
-    # V=0 collapses the theorem cap to the coupling bound, then to Lipschitz
-    t = 0.7
-    cap_thm = bounds.theorem_cap(potentials.ZeroPotential(E1), 0.0, 1.0, t, 1.0)
-    assert cap_thm == pytest.approx(bounds.f_K(0.0, t), rel=1e-12)
-    cap_half = bounds.theorem_cap(potentials.ZeroPotential(E1), 0.0, 0.5, t, 1.0)
-    assert cap_half == pytest.approx(bounds.holder_cap(0.0, t, 0.5), rel=1e-12)
-
-
 def test_verify_main_theorem_v0_matches_holder():
     rep_thm = bounds.verify_main_theorem(
         potentials.ZeroPotential(E1), functions.Sign(), 0.5, 1.0
@@ -222,27 +206,6 @@ def test_verify_main_theorem_hydrogen():
     assert report.verdict == "holds"
     assert math.isfinite(report.reference)
     assert report.measured < report.reference
-
-
-def test_eigenfunction_corollary_hydrogen():
-    # off the nucleus: a grid centred on it meets the radial psi_0 only in
-    # pairs of equal radius, where every difference is 0
-    pairs = bounds.pair_grid_euclidean(
-        E3, anchors=[np.array([1.0, 0.0, 0.0])], scale=2.0, k_max=8
-    )
-    report = bounds.verify_eigenfunction_corollary(
-        functions.HydrogenGround(), -0.25, HYDROGEN, 0.5, 1.0, pairs
-    )
-    assert report.verdict == "holds"
-    # analytic Lipschitz constant of e^{-r/2} is 1/2, so quotients at unit
-    # scale stay below 1/2 * d^{1-alpha} <= 1/2 * scale^{1/2}
-    assert report.measured <= 0.5 * math.sqrt(2.0) + 1e-9
-    # the sup is at the widest pair on the x axis, from the nucleus to (2, 0, 0):
-    # |e^0 - e^{-1}| / 2^{1/2}
-    exact = (1.0 - math.exp(-1.0)) / math.sqrt(2.0)
-    assert report.measured == pytest.approx(exact, rel=1e-12)
-    x, y = report.details["witness"]
-    assert list(x) == [0.0, 0.0, 0.0] and list(y) == [2.0, 0.0, 0.0]
 
 
 def test_corollary_B_single_term_reduces_to_A():

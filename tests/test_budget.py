@@ -8,9 +8,9 @@ import katoflow
 from katoflow import cli
 
 # parameters with a default, **kwargs, and dataclass fields with a default
-SETTABLE_VALUES = 56
+SETTABLE_VALUES = 52
 # fields of the suite configs and of the space, potential and psi specs
-CONFIG_FIELDS = 65
+CONFIG_FIELDS = 62
 
 
 def _is_dataclass(node):

@@ -124,6 +124,13 @@ def test_bad_molecule_file_exits_2(tmp_path, capsys, content):
     ("fk", "grid_step=0"),
     ("fk", "grid_step=1e-310"),  # t / grid_step overflows
     ("khashminskii", "steps=0"),
+    ("moments", "dims=[1.5]"),  # a list of integers holds integers
+    ("duhamel", "step_ladder=[8.5]"),
+    # at most cli._MAX_STEPS path or time steps
+    ("fk", "grid_step=1e-9"),
+    ("couple", "grid_step=0.000244140625"),  # divides t_grid, 16 384 steps to 4
+    ("khashminskii", "steps=100000"),
+    ("duhamel", "step_ladder=[8, 100000]"),
 ])
 def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, override):
     def refuse(*_args):
@@ -133,6 +140,27 @@ def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, 
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
                 "--set", override]) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_integer_fields_are_stored_as_ints():
+    """An integer given as 1.0 reaches the suite as the int 1, alone or in
+    a list whose default holds integers."""
+    params = [cli._validate("couple", {"d": 1.0}), cli._validate("moments", {
+        "dims": [1.0, 3], "n_samples": 100.0}), cli._validate("duhamel", {
+        "step_ladder": [8.0, 16]})]
+    values = [params[0]["d"], *params[1]["dims"], params[1]["n_samples"],
+              *params[2]["step_ladder"]]
+    assert values == [1, 1, 3, 100, 8, 16]
+    assert all(type(v) is int for v in values)
+
+
+def test_an_integer_written_as_a_float_gives_the_same_bytes(tmp_path):
+    outs = [tmp_path / n for n in ("int", "float")]
+    for out, n_ks in zip(outs, ("12000", "12000.0")):
+        assert run(["kernel-checks", "--seed", "1", "--out", str(out),
+                    "--set", f"n_ks={n_ks}"]) == 0
+    name = "kernel_checks_results.csv"
+    assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_rerun_into_the_same_out_rewrites_records_and_meta(tmp_path):

@@ -118,33 +118,86 @@ def test_fk_worker_count_invariance():
     assert one.value == many.value and one.stderr == many.stderr
 
 
+class Nasty(potentials.Potential):
+    """-|x|^{-5/2} on R^3."""
+
+    name = "nasty"
+
+    def __init__(self):
+        self.space = E3
+
+    def __call__(self, pts):
+        pts = np.atleast_2d(pts)
+        with np.errstate(divide="ignore"):
+            return -1.0 / np.linalg.norm(pts, axis=1) ** 2.5
+
+    def singularity_distance(self, pts):
+        return np.linalg.norm(np.atleast_2d(pts), axis=1)
+
+    def smoothed_abs(self, s, x):
+        return math.inf
+
+    def sup_candidates(self):
+        return [np.zeros(3)]
+
+    def closed_form_kato(self, alpha, t):
+        return math.inf  # |x|^{-5/2} fails the 3d Kato test
+
+
 def test_fk_refuses_uncertified_singular_potential():
-    class Nasty(potentials.Potential):
-        name = "nasty"
-
-        def __init__(self):
-            self.space = E3
-
-        def __call__(self, pts):
-            pts = np.atleast_2d(pts)
-            with np.errstate(divide="ignore"):
-                return -1.0 / np.linalg.norm(pts, axis=1) ** 2.5
-
-        def singularity_distance(self, pts):
-            return np.linalg.norm(np.atleast_2d(pts), axis=1)
-
-        def smoothed_abs(self, s, x):
-            return math.inf
-
-        def sup_candidates(self):
-            return [np.zeros(3)]
-
-        def closed_form_kato(self, alpha, t):
-            return math.inf  # |x|^{-5/2} fails the 3d Kato test
-
     with pytest.raises(NonKatoError):
         fk.fk_evaluate(Nasty(), functions.Constant(1.0), np.array([1.0, 0, 0]),
                        0.2, 100, seed=0)
+
+
+def test_khashminskii_and_exp_moment_refuse_a_non_kato_potential():
+    """One admission rule: an infinite alpha=0 Kato bound is NonKatoError for
+    the certificate and for the empirical moment, whose -|V| answers the
+    Kato questions of V."""
+    with pytest.raises(NonKatoError):
+        fk.khashminskii_certify(Nasty(), 0.2)
+    with pytest.raises(NonKatoError):
+        fk.exp_action_moment(Nasty(), np.array([1.0, 0, 0]), 0.2, 100, seed=0)
+    r = math.pi / 16
+    for v in (potentials.CoulombPotential(), HYDROGEN):
+        assert fk.khashminskii_certify(fk._NegAbs(v), r) == fk.khashminskii_certify(v, r)
+
+
+class _Understated(functions.BatchFunction):
+    """1 everywhere, with a sup norm of 1/2: every estimate exceeds its bound."""
+
+    sup_norm = 0.5
+
+    def __call__(self, pts):
+        return np.ones(np.atleast_2d(pts).shape[0])
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.5, 0.0, 0.0]), np.array([[0.5, 0.0, 0.0], [0.0, 0.75, 0.0]]),
+], ids=["start", "pair"])
+def test_every_estimate_checks_its_legs_against_the_weight_bound(x):
+    """A start and a pair are flagged alike when a leg exceeds C_exp(V, t)
+    times psi's sup norm by 3 stderrs, and not when psi's norm is true."""
+    est = fk.fk_evaluate(HYDROGEN, _Understated(), x, 0.1, 256, seed=3)
+    assert est.flags == ["integration_bias_warning"]
+    est = fk.fk_evaluate(HYDROGEN, functions.Constant(1.0), x, 0.1, 256, seed=3)
+    assert est.flags == []
+
+
+def test_quotient_pair_estimates_check_their_bound(monkeypatch):
+    """The pair estimates behind a measured Hoelder quotient are checked
+    against the weight bound as any other estimate is."""
+    seen, evaluate = [], fk.fk_evaluate
+
+    def kept(*args, **kwargs):
+        seen.append(evaluate(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(fk, "fk_evaluate", kept)
+    pairs = bounds.pair_grid_euclidean(E3, anchors=[np.zeros(3)], k_max=1)
+    bounds.measured_holder_quotient_mc(HYDROGEN, _Understated(), 0.5, 0.1, pairs, 64, 3)
+    assert len(seen) == len(pairs)
+    assert all(est.flags == ["integration_bias_warning"] for est in seen)
 
 
 def test_fk_uniform_bound_invariant():
