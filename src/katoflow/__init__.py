@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .spaces import StateSpace, euclidean, sphere2  # noqa: F401
 from .paths import sample_paths_batch, bridge_midpoints  # noqa: F401
 from .coupling import (  # noqa: F401
-    simulate_reflection_taus,
     simulate_reflection_endpoints,
     total_variation_gaussian,
     check_maximality,

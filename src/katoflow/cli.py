@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -203,39 +202,31 @@ def suite_moments(p, seed, workers):
 
 
 def suite_couple(p, seed, workers):
+    """One mirror-coupling walk to the horizon max(t_grid): its survival at
+    each t of t_grid, and the equivalence ladder and both legs' marginals at
+    the horizon."""
     d = p["d"]
     sep = p["separation"]
-    t_grid = p["t_grid"]
-    horizon = max(t_grid)
-    taus = coupling.simulate_reflection_taus(
-        sep, horizon, p["grid_step"], p["n_runs"], seed, workers=workers
-    )
-    # the mirror coupling is maximal: its survival is the exact one, which
-    # is stronger than the coupling inequality check_maximality tests
-    checks = [
-        replace(c, reference=coupling.reflection_survival_exact(sep, c.parameters["t"]),
-                sidedness=TWO_SIDED, tol=1e-3, verdict=None)
-        for c in coupling.check_maximality(taus, d, sep, t_grid)
-    ]
+    horizon = max(p["t_grid"])
     sp = spaces.euclidean(d)
     x = np.zeros(d)
     y = np.zeros(d)
     y[0] = sep
-    t_eq = t_grid[len(t_grid) // 2]
     ends = coupling.simulate_reflection_endpoints(
-        sp, x, y, t_eq, p["grid_step"], p["n_runs"], seed, workers=workers
+        sp, x, y, horizon, p["grid_step"], p["n_runs"], seed, workers=workers
     )
+    checks = coupling.check_maximality(ends[2], d, sep, p["t_grid"])
     fam = functions.default_coupling_family(x, y)
     checks += coupling.check_equivalence_ladder(
-        sp, x, y, t_eq, p["alpha_grid"], fam, ends
+        sp, x, y, horizon, p["alpha_grid"], fam, ends
     )
     # marginal KS on both legs
     xs, ys, _ = ends
-    sig = math.sqrt(2 * t_eq)
+    sig = math.sqrt(2 * horizon)
     for leg, arr, start in (("X", xs, x), ("Y", ys, y)):
         for axis in range(d):
             _d, pv = coupling.ks_normal(arr[:, axis], start[axis], sig)
-            checks.append(Check("couple_marginals", {"leg": leg, "axis": axis, "t": t_eq},
+            checks.append(Check("couple_marginals", {"leg": leg, "axis": axis, "t": horizon},
                                 pv, 1e-3, sidedness=LOWER))
     return checks
 
@@ -631,6 +622,11 @@ def _validate(suite, supplied):
             f"fk.grid_step = {params['grid_step']!r} must be positive and leave "
             f"t / grid_step at most {_MAX_STEPS} for every time of t_grid "
             f"{params['t_grid']!r}"
+        )
+    # the suite's classification expects a molecule in K^alpha iff alpha < 1
+    if suite == "molecule" and not all(0 <= a < 1 for a in params["alpha_grid"]):
+        raise ConfigError(
+            f"molecule.alpha_grid = {params['alpha_grid']!r} must lie in [0, 1)"
         )
     if suite == "khashminskii" and not 1 <= params["steps"] <= _MAX_STEPS:
         raise ConfigError(

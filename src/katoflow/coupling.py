@@ -16,8 +16,8 @@ from scipy import special
 from . import streams
 from .errors import PrecisionError, TimeDomainError, UnsupportedStrategyError
 from .paths import _grid
-from .spaces import Euclidean
-from .reports import LOWER, UPPER, Check
+from .spaces import Euclidean, euclidean
+from .reports import TWO_SIDED, UPPER, Check
 
 REFLECTION = "reflection"
 
@@ -35,42 +35,21 @@ def _crossed(u, u_new, h, unif):
 
 
 def simulate_reflection_taus(separation, horizon, grid_step, n_runs, seed, workers=1):
-    """Coupling times of n_runs mirror couplings at the given separation.
-
-    Only the separation coordinate is simulated; tau is dimension-free.
-    Returned taus are grid times (k+1)*h bracketing the true crossing, so
-    survival indicators {tau > t} are exact for grid-aligned t.
-    """
-    times, _steps = _grid(horizon, grid_step)
-    n_steps = len(times) - 1
-    u0 = -0.5 * float(separation)
-
-    def chunk(rng, size, _k):
-        u = np.full(size, u0)
-        taus = np.full(size, math.inf)
-        alive = np.ones(size, dtype=bool)
-        for k in range(n_steps):
-            h = times[k + 1] - times[k]
-            g = rng.standard_normal(size)
-            unif = rng.random(size)
-            u_new = u + math.sqrt(2.0 * h) * g
-            crossed = alive & _crossed(u, u_new, h, unif)
-            taus[crossed] = times[k + 1]
-            alive &= ~crossed
-            u = u_new
-        return taus
-
-    parts = streams.map_chunks(
-        chunk, n_runs, seed, streams.TAG_COUPLING, workers=workers
-    )
-    return np.concatenate(parts)
+    """Coupling times of n_runs mirror couplings at the given separation: the
+    taus of ``simulate_reflection_endpoints`` on R^1 from 0 to separation.
+    tau is dimension-free."""
+    return simulate_reflection_endpoints(
+        euclidean(1), [0.0], [separation], horizon, grid_step, n_runs, seed, workers
+    )[2]
 
 
 def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, workers=1):
-    """(X_t, Y_t, coupled) samples of the mirror coupling, vectorized.
+    """(X_t, Y_t, tau) samples of the mirror coupling, vectorized.
 
-    For x == y every hyperplane through x is a mirror; the runs couple at the
-    first step and Y_t == X_t."""
+    tau is the grid time (k+1)*h that brackets a run's crossing, or inf if the
+    run has not crossed by t, so survival indicators {tau > s} are exact for
+    grid-aligned s; Y_t == X_t wherever tau is finite.  For x == y every
+    hyperplane through x is a mirror; the runs couple at the first step."""
     if not isinstance(space, Euclidean):
         raise UnsupportedStrategyError("reflection coupling implemented on R^d only")
     x = space.check_point(x)
@@ -83,25 +62,22 @@ def simulate_reflection_endpoints(space, x, y, t, grid_step, n_runs, seed, worke
 
     def chunk(rng, size, _k):
         xs = np.tile(x, (size, 1))
-        coupled = np.zeros(size, dtype=bool)
+        taus = np.full(size, math.inf)
         u = np.full(size, -0.5 * sep)
         for k in range(n_steps):
             h = times[k + 1] - times[k]
             xs = space.move(h, xs, rng)
             unif = rng.random(size)
             u_new = (xs - mid) @ e
-            coupled |= _crossed(u, u_new, h, unif)
+            taus[(taus == math.inf) & _crossed(u, u_new, h, unif)] = times[k + 1]
             u = u_new
-        ys = np.where(coupled[:, None], xs, xs - 2.0 * u[:, None] * e)
-        return xs, ys, coupled
+        ys = np.where((taus < math.inf)[:, None], xs, xs - 2.0 * u[:, None] * e)
+        return xs, ys, taus
 
     parts = streams.map_chunks(
         chunk, n_runs, seed, streams.TAG_COUPLING, workers=workers
     )
-    xs = np.concatenate([p[0] for p in parts])
-    ys = np.concatenate([p[1] for p in parts])
-    coupled = np.concatenate([p[2] for p in parts])
-    return xs, ys, coupled
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +95,6 @@ def total_variation_gaussian(separation, t):
     if separation < 0:
         raise TimeDomainError("separation must be >= 0")
     return float(2.0 * special.ndtr(separation / (2.0 * math.sqrt(2.0 * t))) - 1.0)
-
-
-def reflection_survival_exact(separation, t):
-    """Closed-form P(tau > t) for the mirror coupling (reflection principle)."""
-    return total_variation_gaussian(separation, t)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +200,10 @@ def _pelz_good_cdf(n, x):
 
 
 def check_maximality(taus, d, separation, t_grid):
-    """One check per t of the coupling inequality P(tau > t) >= (1/2) sup_B
-    |mu1(B) - mu2(B)|, a lower bound at 3 stderr.
+    """One check per t that the mirror coupling is maximal: its survival
+    P(tau > t) equals sup_B |mu1(B) - mu2(B)| (Lindvall & Rogers 1986),
+    two-sided at 3 stderr + 1e-3.  This is stronger than the coupling
+    inequality P(tau > t) >= sup_B |mu1(B) - mu2(B)| that every coupling meets.
 
     Each check's details name the maximality identities (if any) that the
     survival estimate matches within 3 stderr."""
@@ -250,7 +223,7 @@ def check_maximality(taus, d, separation, t_grid):
         checks.append(Check(
             "couple",
             {"strategy": REFLECTION, "d": d, "separation": separation, "t": t},
-            p_hat, 0.5 * tv_supb, se, LOWER,
+            p_hat, tv_supb, se, TWO_SIDED, 1e-3,
             details={"tv_supB": tv_supb, "half_L1": half_l1,
                      "maximality_conventions": ",".join(conventions) or "none"},
         ))
@@ -262,14 +235,17 @@ def check_equivalence_ladder(space, x, y, t, alpha_grid, f_family, endpoints):
     2*P(tau>t)/d(x,y): |E f(X_t) - E f(Y_t)| <= F^alpha 2^{1-alpha} d^alpha
     ||f||, whose tol carries the delta-method stderr of the bound.
 
-    ``endpoints`` is the ``(X_t, Y_t, coupled)`` triple that
-    ``simulate_reflection_endpoints`` returns for the same x, y and t."""
+    ``endpoints`` is the ``(X_t, Y_t, tau)`` triple that
+    ``simulate_reflection_endpoints`` returns for the same x, y and t.
+    Statement (iii) is stated for alpha in (0, 1]."""
+    if not all(0.0 < a <= 1.0 for a in alpha_grid):
+        raise TimeDomainError(f"ladder exponents {alpha_grid!r} must lie in (0, 1]")
     dist = space.distance(x, y)
     if dist == 0:
         raise TimeDomainError("the equivalence ladder needs d(x, y) > 0")
-    xs, ys, coupled = endpoints
+    xs, ys, taus = endpoints
     n = xs.shape[0]
-    p_hat = float(np.mean(~coupled))
+    p_hat = float(np.mean(taus == math.inf))
     se_p = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
     f_big = 2.0 * p_hat / dist
     checks = []

@@ -11,7 +11,7 @@ the Feynman-Kac estimator uses as a control variate.
 import numpy as np
 from scipy import special
 
-from .errors import KatoflowError
+from .errors import InvalidPointError, KatoflowError
 from .spaces import Euclidean
 
 
@@ -65,15 +65,26 @@ class HalfSpaceIndicator(BatchFunction):
 
 
 class BallIndicator(BatchFunction):
+    """1 on the open ball of a positive radius; a length-1 center stands for
+    (c, ..., c) in any dimension."""
+
     def __init__(self, center, radius):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
+        if not self.radius > 0:
+            raise InvalidPointError(f"ball radius must be positive, got {radius!r}")
         if self.center.size == 1:
             c = self.center[0]
             self.breakpoints = (c - self.radius, c + self.radius)
 
+    def _offsets(self, pts):
+        if self.center.size not in (1, pts.shape[-1]):
+            raise InvalidPointError(f"points of dimension {pts.shape[-1]} against "
+                                    f"a ball center of length {self.center.size}")
+        return pts - self.center
+
     def __call__(self, pts):
-        d = np.linalg.norm(_as_2d(pts) - self.center, axis=1)
+        d = np.linalg.norm(self._offsets(_as_2d(pts)), axis=1)
         return (d < self.radius).astype(float)
 
     def free_mean(self, space, x, t):
@@ -83,7 +94,7 @@ class BallIndicator(BatchFunction):
         noncentrality |x - c|^2 / 2t.  None on any other space."""
         if not isinstance(space, Euclidean):
             return None
-        off = np.asarray(x, dtype=float) - self.center
+        off = self._offsets(np.atleast_1d(np.asarray(x, dtype=float)))
         return float(special.chndtr(self.radius**2 / (2.0 * t), space.dimension,
                                     float(off @ off) / (2.0 * t)))
 

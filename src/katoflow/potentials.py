@@ -17,8 +17,8 @@ import numpy as np
 from scipy import special
 
 from . import quadrature, streams
-from .spaces import _row_distances, euclidean
-from .errors import ConfigError, InvalidPointError, TimeDomainError
+from .spaces import Euclidean, _row_distances, euclidean
+from .errors import ConfigError, InvalidPointError, TimeDomainError, UnsupportedStrategyError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -427,6 +427,8 @@ def kato_integral(V, alpha, t, method="auto", n_samples=10**5, seed=0, workers=1
         return KatoCertificate(alpha, t, bound, "quadrature", wit, 0.0, details)
 
     if method == "monte_carlo":
+        if not isinstance(V.space, Euclidean):
+            raise UnsupportedStrategyError("the Kato Monte Carlo draws on R^d only")
         _, wit, _ = _quadrature_bound(V, alpha, t)
         c_lead = V.coulomb_strength_at(wit)
         # time density prop. to s^{-beta}; at a Coulomb-singular witness
@@ -450,7 +452,7 @@ def kato_integral(V, alpha, t, method="auto", n_samples=10**5, seed=0, workers=1
         def chunk(rng, size, _k):
             u = rng.random(size)
             s = t * u ** (1.0 / power)
-            ys = V.space.sample_transition_each(s, wit, rng)
+            ys = V.space.move(s[:, None], np.tile(wit, (size, 1)), rng)
             w = z_norm * s ** (beta - alpha / 2.0) * np.abs(V(ys))
             return w[None]
 

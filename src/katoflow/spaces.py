@@ -83,20 +83,6 @@ class StateSpace:
         pts = np.tile(self.check_point(x), (n, 1))
         return pts if t == 0 else self.move(t, pts, rng)
 
-    def sample_transition_each(self, ts, x, rng):
-        """One sample per entry of ts (varying horizons, common start)."""
-        ts = np.asarray(ts, dtype=float)
-        x = self.check_point(x)
-        if np.any(ts < 0):
-            raise TimeDomainError("transition requires t >= 0")
-        return self._sample_each(ts, x, rng)
-
-    def _sample_each(self, ts, x, rng):
-        out = np.empty((ts.size, self.embedding_dim))
-        for i, t in enumerate(ts):
-            out[i] = self.sample_transition_batch(float(t), x, 1, rng)[0]
-        return out
-
     def walk(self, x, steps, n, rng):
         """Positions (n, len(steps) + 1, embedding_dim) of n paths from x."""
         pts = np.empty((n, len(steps) + 1, self.embedding_dim))
@@ -151,15 +137,12 @@ class Euclidean(StateSpace):
         return unit * radius**d
 
     def move(self, t, pts, rng):
-        return pts + math.sqrt(2.0 * t) * rng.standard_normal(pts.shape)
+        """pts + W_t row by row, for a time t or an (n, 1) array of per-row times."""
+        return pts + np.sqrt(2.0 * t) * rng.standard_normal(pts.shape)
 
     def carry(self, pts, x, y):
         """Translate the points ``pts`` (..., dimension) in place by y - x."""
         pts += y - x
-
-    def _sample_each(self, ts, x, rng):
-        z = rng.standard_normal((ts.size, self.dimension))
-        return x + np.sqrt(2.0 * ts)[:, None] * z
 
     def walk(self, x, steps, n, rng):
         # the increments are drawn in blocks of _ROW_BLOCK rows, which take

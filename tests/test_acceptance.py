@@ -38,7 +38,7 @@ def test_c01_coupling_maximality():
         for t in (0.25, 1.0, 4.0):
             p = float(np.mean(taus > t))
             se = math.sqrt(max(p * (1 - p), 1e-12) / taus.size)
-            exact = coupling.reflection_survival_exact(sep, t)
+            exact = coupling.total_variation_gaussian(sep, t)
             ok &= abs(p - exact) <= 3 * se + 1e-3
     elapsed = time.time() - t0
     ok &= elapsed < 60.0

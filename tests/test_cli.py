@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import katoflow
-from katoflow import bounds, cli, functions, potentials, spaces
+from katoflow import bounds, cli, coupling, functions, potentials, spaces
 from katoflow.reports import CATEGORICAL, HOLDS, UPPER, VIOLATED
 
 
@@ -85,6 +85,10 @@ def test_bad_config_value_exits_2(tmp_path):
     ("fk", 'potential={"type":"zero","dim":true}'),
     ("fk", 'potential={"type":"zero","dim":1,"extra":2}'),
     ("theorem", 'potential={"type":"coulomb","center":[0,0]}'),
+    ("theorem", 'phi={"type":"ball","center":[1,1],"radius":1}'),  # 2-d center in R^3
+    ("fk", 'psi={"type":"ball","radius":-1}'),
+    ("couple", "alpha_grid=[0]"),  # statement (iii) takes alpha in (0, 1]
+    ("couple", "alpha_grid=[1.5]"),
 ])
 def test_mistyped_override_exits_2(tmp_path, capsys, suite, override):
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
@@ -131,6 +135,7 @@ def test_bad_molecule_file_exits_2(tmp_path, capsys, content):
     ("couple", "grid_step=0.000244140625"),  # divides t_grid, 16 384 steps to 4
     ("khashminskii", "steps=100000"),
     ("duhamel", "step_ladder=[8, 100000]"),
+    ("molecule", "alpha_grid=[0.5, 1.0]"),  # the molecule is in K^alpha iff alpha < 1
 ])
 def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, override):
     def refuse(*_args):
@@ -256,6 +261,26 @@ def test_couple_csv_schema_and_determinism(tmp_path):
     header = (out1 / "couple_results.csv").read_text().splitlines()[0]
     assert header == ("strategy,d,separation,t,measured,reference,stderr,"
                       "verdict,tightness")
+
+
+def test_couple_runs_one_walk(monkeypatch):
+    """The survival rows, the ladder and the marginals all read one mirror
+    coupling walk: simulate_reflection_endpoints once, and no taus walk."""
+    calls = {"simulate_reflection_taus": 0, "simulate_reflection_endpoints": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(coupling, name, counting(name, getattr(coupling, name)))
+    params = cli._validate("couple", {"n_runs": 10000, "t_grid": [0.25, 1.0]})
+    checks = cli.run_suite("couple", params, 3)
+    assert calls == {"simulate_reflection_taus": 0, "simulate_reflection_endpoints": 1}
+    assert {c.table for c in checks} == {"couple", "couple_equivalence",
+                                         "couple_marginals"}
 
 
 def test_worker_count_invariance(tmp_path):

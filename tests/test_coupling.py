@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from katoflow import coupling, functions, spaces
+from katoflow import coupling, functions, spaces, streams
 from katoflow.errors import PrecisionError, TimeDomainError, UnsupportedStrategyError
+from katoflow.paths import _grid
 
 E1 = spaces.euclidean(1)
 E2 = spaces.euclidean(2)
@@ -14,7 +15,7 @@ E3 = spaces.euclidean(3)
 
 def test_survival_closed_form_value():
     # 2*Phi(2 / (2*sqrt(2))) - 1 at separation 2, t = 1
-    assert coupling.reflection_survival_exact(2.0, 1.0) == pytest.approx(
+    assert coupling.total_variation_gaussian(2.0, 1.0) == pytest.approx(
         0.5204998778130465, abs=1e-12
     )
 
@@ -74,11 +75,11 @@ def test_tv_limits():
 
 
 def test_trivial_coupling_from_equal_points():
-    xs, ys, coupled = coupling.simulate_reflection_endpoints(
+    xs, ys, taus = coupling.simulate_reflection_endpoints(
         E2, np.zeros(2), np.zeros(2), 1.0, 0.25, 5_000, seed=0
     )
     assert np.all(np.isfinite(xs))
-    assert coupled.all()
+    assert np.all(taus == 0.25)  # every run couples at the first grid time
     assert np.array_equal(xs, ys)
 
 
@@ -86,15 +87,53 @@ def test_reflection_positive_tau_and_gluing():
     taus = coupling.simulate_reflection_taus(2.0, 6.0, 0.125, 5_000, seed=4)
     assert np.all(taus > 0)
     x, y = np.array([-1.0, 0.5]), np.array([1.0, 0.5])
-    xs, ys, coupled = coupling.simulate_reflection_endpoints(
+    xs, ys, taus = coupling.simulate_reflection_endpoints(
         E2, x, y, 1.0, 0.125, 5_000, seed=4
     )
+    coupled = taus < math.inf
     assert coupled.any() and not coupled.all()
+    assert np.all(taus[coupled] <= 1.0)
     # glued after the crossing, mirror images across x_0 = 0 before it
     assert np.array_equal(xs[coupled], ys[coupled])
     mirror = xs[~coupled] * np.array([-1.0, 1.0])
     assert np.allclose(ys[~coupled], mirror, rtol=0.0, atol=1e-12)
     assert not np.allclose(xs[~coupled], ys[~coupled])
+
+
+def _one_dimensional_taus(separation, horizon, grid_step, n_runs, seed):
+    """Mirror-coupling taus from a walk of the separation coordinate alone:
+    the reference that simulate_reflection_taus must reproduce bit for bit."""
+    times, _steps = _grid(horizon, grid_step)
+
+    def chunk(rng, size, _k):
+        u = np.full(size, -0.5 * float(separation))
+        taus = np.full(size, math.inf)
+        alive = np.ones(size, dtype=bool)
+        for k in range(len(times) - 1):
+            h = times[k + 1] - times[k]
+            g = rng.standard_normal(size)
+            unif = rng.random(size)
+            u_new = u + math.sqrt(2.0 * h) * g
+            crossed = alive & coupling._crossed(u, u_new, h, unif)
+            taus[crossed] = times[k + 1]
+            alive &= ~crossed
+            u = u_new
+        return taus
+
+    return np.concatenate(streams.map_chunks(chunk, n_runs, seed, streams.TAG_COUPLING))
+
+
+@pytest.mark.parametrize("separation,horizon,grid_step,seed", [
+    (2.0, 1.0, 0.125, 101),
+    (0.5, 4.0, 0.125, 7),
+    (1.0, 1.0, 0.3, 3),  # a step that does not divide the horizon
+    (3.0, 0.5, 0.05, 12),
+])
+def test_taus_are_the_one_dimensional_walk(separation, horizon, grid_step, seed):
+    taus = coupling.simulate_reflection_taus(separation, horizon, grid_step, 20_000, seed)
+    want = _one_dimensional_taus(separation, horizon, grid_step, 20_000, seed)
+    assert np.isfinite(taus).any() and not np.isfinite(taus).all()
+    assert np.array_equal(taus, want)
 
 
 def test_reflection_rejected_on_sphere():
@@ -117,7 +156,7 @@ def test_survival_grid(sep, t):
     taus = coupling.simulate_reflection_taus(sep, t, t / 8, 60_000, seed=77)
     p_hat = float(np.mean(taus > t))
     se = math.sqrt(max(p_hat * (1 - p_hat), 1e-9) / taus.size)
-    assert abs(p_hat - coupling.reflection_survival_exact(sep, t)) <= 3.5 * se
+    assert abs(p_hat - coupling.total_variation_gaussian(sep, t)) <= 3.5 * se
 
 
 def test_marginal_correctness_both_legs():
@@ -154,14 +193,17 @@ def test_survival_monotone_and_decaying():
     surv = [float(np.mean(taus > t)) for t in grid]
     assert all(a >= b for a, b in zip(surv, surv[1:]))
     # K = 0: every such coupling is successful, so survival tends to 0
-    assert float(np.mean(taus > 8.0)) < coupling.reflection_survival_exact(1.0, 8.0) + 0.01
-    assert coupling.reflection_survival_exact(1.0, 200.0) < 0.05
+    assert float(np.mean(taus > 8.0)) < coupling.total_variation_gaussian(1.0, 8.0) + 0.01
+    assert coupling.total_variation_gaussian(1.0, 200.0) < 0.05
 
 
 def test_synchronous_survival_dominates():
+    """A coupling whose legs never meet, as the synchronous one from distinct
+    points, has survival 1 > sup_B |mu1(B) - mu2(B)|: it is not maximal, and
+    every maximality row says so."""
     taus = np.full(20_000, math.inf)
     checks = coupling.check_maximality(taus, 1, 1.0, [0.5, 1.0])
-    assert all(c.verdict == "holds" for c in checks)
+    assert all(c.verdict == "violated" for c in checks)
     assert all(c.measured == 1.0 for c in checks)
 
 
@@ -169,7 +211,7 @@ def test_one_sided_prop_bound_with_half_fk():
     # P(tau > t) <= (1/2) F_0(t) d(x, y) for the mirror coupling, K = 0
     for sep in [0.25, 1.0, 2.0, 5.0]:
         for t in [0.25, 1.0, 4.0]:
-            p = coupling.reflection_survival_exact(sep, t)
+            p = coupling.total_variation_gaussian(sep, t)
             assert p <= 0.5 * (1.0 / math.sqrt(2.0 * t)) * sep + 1e-12
 
 

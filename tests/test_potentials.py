@@ -6,7 +6,9 @@ import pytest
 from scipy import integrate
 
 from katoflow import functions, paths, potentials, reports, spaces
-from katoflow.errors import ConfigError, InvalidPointError, TimeDomainError
+from katoflow.errors import (
+    ConfigError, InvalidPointError, TimeDomainError, UnsupportedStrategyError,
+)
 
 E1 = spaces.euclidean(1)
 E3 = spaces.euclidean(3)
@@ -158,6 +160,14 @@ def test_kato_monte_carlo_constant_agreement():
         )
         exact = v.closed_form_kato(alpha, 0.8)
         assert cert.bound == pytest.approx(exact, rel=1e-9)  # weights constant
+
+
+def test_kato_monte_carlo_refuses_a_curved_space():
+    """The Monte Carlo draws its points with Euclidean.move, so it runs on
+    R^d only, as the mirror coupling does."""
+    v = potentials.ConstantPotential(spaces.sphere2(1.0), 2.0)
+    with pytest.raises(UnsupportedStrategyError):
+        potentials.kato_integral(v, 0.5, 0.8, method="monte_carlo", n_samples=1_000)
 
 
 def test_kato_monte_carlo_deterministic():
