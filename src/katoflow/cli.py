@@ -41,17 +41,28 @@ _MIN_RATIO = 3.5
 _MOLECULE_FILE = {"m": (None, int), "nuclei": (None, list)}
 
 
+def _json(text, where):
+    """The JSON value of a config text.  json admits NaN, Infinity and
+    -Infinity, which no config value may be: each is a ConfigError."""
+    def refuse(name):
+        raise ConfigError(f"{where}: {name} is not a finite number")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _molecule_from(file, m, nuclei):
     if file:
         try:
             with open(file) as fh:
-                data = json.load(fh)
+                text = fh.read()
         except OSError as err:
             raise ConfigError(f"molecule file {file}: {err.strerror}")
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"molecule file {file} line {err.lineno}: {err.msg}")
         except ValueError:
             raise ConfigError(f"molecule file {file} cannot be decoded as text")
+        try:
+            data = _json(text, f"molecule file {file}")
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"molecule file {file} line {err.lineno}: {err.msg}")
         if not isinstance(data, dict):
             raise ConfigError(f"molecule file {file} must hold an object")
         return pot.load_molecule(_fields("file", _MOLECULE_FILE, data))
@@ -623,6 +634,20 @@ def _validate(suite, supplied):
             f"t / grid_step at most {_MAX_STEPS} for every time of t_grid "
             f"{params['t_grid']!r}"
         )
+    # statement (iii) of the equivalence ladder is stated for alpha in (0, 1]
+    if suite == "couple" and not all(0 < a <= 1 for a in params["alpha_grid"]):
+        raise ConfigError(
+            f"couple.alpha_grid = {params['alpha_grid']!r} must lie in (0, 1]"
+        )
+    # a ball center of length other than 1 must have V's dimension
+    if suite == "theorem":
+        dim = _potential_from(params["potential"]).space.dimension
+        phi = _psi_from(params["phi"])
+        if isinstance(phi, functions.BallIndicator) and phi.center.size not in (1, dim):
+            raise ConfigError(
+                f"theorem.phi's ball center {phi.center.tolist()!r} must have "
+                f"length 1 or the potential's dimension {dim}"
+            )
     # the suite's classification expects a molecule in K^alpha iff alpha < 1
     if suite == "molecule" and not all(0 <= a < 1 for a in params["alpha_grid"]):
         raise ConfigError(
@@ -789,7 +814,7 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _json(fh.read(), f"config {path}")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
@@ -802,7 +827,7 @@ def _apply_overrides(cfg, pairs):
             raise ConfigError(f"--set needs KEY=JSON, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            cfg[key] = json.loads(raw)
+            cfg[key] = _json(raw, f"--set {key}")
         except json.JSONDecodeError:
             cfg[key] = raw
     return cfg

@@ -8,6 +8,7 @@ Kato-class V, 2|V| is Kato too, so the weights have a finite second moment
 never clipped.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ class SemigroupEstimate:
     flags: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KhashminskiiCertificate:
     r: float
     kappa: float
@@ -343,10 +344,15 @@ def khashminskii_bound(kappa_at, r):
         raise DivergentBoundError(f"(1/(1-kappa_k))^{hi} overflows") from None
 
 
+@functools.lru_cache(maxsize=32)
 def khashminskii_certify(V, r):
     """Bound on C_exp(V, r) = sup_x E^x exp(int_0^r |V|) by khashminskii_bound
     on the alpha=0 Kato certificates of V; a V whose alpha=0 Kato bound at r
-    is infinite raises NonKatoError."""
+    is infinite raises NonKatoError.
+
+    Memoised on (V, r): a theorem row asks once per pair, and the certificate
+    is deterministic.  Potentials hash by identity, and the cache holds them,
+    so an id is never reused while its entry lives."""
     kappa = pot.kato_integral(V, 0.0, r).bound + 0.0
     if math.isinf(kappa):
         raise NonKatoError(

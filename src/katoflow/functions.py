@@ -9,8 +9,8 @@ the Feynman-Kac estimator uses as a control variate.
 
 
 import numpy as np
-from scipy import special
 
+from . import special
 from .errors import InvalidPointError, KatoflowError
 from .spaces import Euclidean
 
@@ -95,8 +95,8 @@ class BallIndicator(BatchFunction):
         if not isinstance(space, Euclidean):
             return None
         off = self._offsets(np.atleast_1d(np.asarray(x, dtype=float)))
-        return float(special.chndtr(self.radius**2 / (2.0 * t), space.dimension,
-                                    float(off @ off) / (2.0 * t)))
+        return special.chndtr(self.radius**2 / (2.0 * t), space.dimension,
+                              float(off @ off) / (2.0 * t))
 
 
 class TanhRamp(BatchFunction):

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from . import quadrature, streams
+from . import quadrature, special, streams
 from .spaces import Euclidean, _row_distances, euclidean
 from .errors import ConfigError, InvalidPointError, TimeDomainError, UnsupportedStrategyError
 

@@ -14,6 +14,9 @@ chunks in chunk order.  With no control it is the plain mean.
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+# numpy loads numpy.random on first attribute use (about 13 ms); importing it
+# here puts that cost in the import, not inside the first suite that draws
+import numpy.random
 
 from .errors import PrecisionError
 

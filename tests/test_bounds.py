@@ -208,6 +208,27 @@ def test_verify_main_theorem_hydrogen():
     assert report.measured < report.reference
 
 
+def test_verify_main_theorem_certifies_its_horizon_once(monkeypatch):
+    """The theorem row and every pair's weight bound share one Khashminskii
+    certificate of (V, t), so kato_integral is asked once for the alpha=0
+    bound at t, not once per pair."""
+    exact = potentials.kato_integral
+    asked = []
+
+    def counted(V, alpha, t, *args, **kwargs):
+        asked.append((alpha, t))
+        return exact(V, alpha, t, *args, **kwargs)
+
+    fk.khashminskii_certify.cache_clear()
+    monkeypatch.setattr(potentials, "kato_integral", counted)
+    try:
+        bounds.verify_main_theorem(HYDROGEN, functions.BallIndicator(np.zeros(3), 1.0),
+                                   0.5, 0.5, n_paths=64, seed=3)
+    finally:
+        fk.khashminskii_certify.cache_clear()
+    assert asked.count((0.0, 0.5)) == 1
+
+
 def test_corollary_B_single_term_reduces_to_A():
     coul = potentials.CoulombPotential(charge=1.0, attractive=True)
     t = 1.0

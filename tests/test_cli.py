@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import katoflow
-from katoflow import bounds, cli, coupling, functions, potentials, spaces
+from katoflow import bounds, cli, coupling, feynman_kac as fk, functions, potentials, spaces
 from katoflow.reports import CATEGORICAL, HOLDS, UPPER, VIOLATED
 
 
@@ -136,6 +136,14 @@ def test_bad_molecule_file_exits_2(tmp_path, capsys, content):
     ("khashminskii", "steps=100000"),
     ("duhamel", "step_ladder=[8, 100000]"),
     ("molecule", "alpha_grid=[0.5, 1.0]"),  # the molecule is in K^alpha iff alpha < 1
+    # json admits NaN and Infinity; no config value may be one
+    ("holder", "t_grid=[NaN]"),
+    ("moments", "t_grid=[Infinity]"),
+    ("fk", 'potential={"type":"constant","c":NaN}'),
+    ("molecule", "t=NaN"),
+    ("couple", "alpha_grid=[0]"),  # the ladder's statement (iii) needs alpha in (0, 1]
+    # a ball center of length 2 against hydrogen's R^3
+    ("theorem", 'phi={"type":"ball","center":[1,1],"radius":1}'),
 ])
 def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, override):
     def refuse(*_args):
@@ -145,6 +153,22 @@ def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, 
     assert run([suite, "--seed", "1", "--out", str(tmp_path / "o"),
                 "--set", override]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ['{"fk": {"t_grid": [NaN]}}',
+                                  '{"holder": {"alpha_grid": [-Infinity]}}'])
+def test_config_file_with_nan_exits_2(tmp_path, monkeypatch, capsys, text):
+    """json reads NaN and Infinity from a config file too; they exit 2."""
+    def refuse(*_args):
+        raise AssertionError("a suite ran on a config that fails validation")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["all", "--config", str(cfg), "--seed", "1",
+                "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert "is not a finite number" in capsys.readouterr().err
 
 
 def test_integer_fields_are_stored_as_ints():
@@ -225,10 +249,13 @@ def test_kato_monte_carlo_one_sided_check_catches_an_overestimate(tmp_path,
             cert.bound *= 1.5
         return cert
 
+    fk.khashminskii_certify.cache_clear()
     monkeypatch.setattr(potentials, "kato_integral", inflated)
-    assert run(["kato", "--seed", "1", "--out", str(tmp_path / "o"),
+    code = run(["kato", "--seed", "1", "--out", str(tmp_path / "o"),
                 "--set", 'potential={"type":"bump"}',
-                "--set", "mc_samples=5000"]) == 1
+                "--set", "mc_samples=5000"])
+    fk.khashminskii_certify.cache_clear()  # no certificate of the inflated rule lives on
+    assert code == 1
 
 
 def test_missing_seed_exits_2(tmp_path):
@@ -486,44 +513,24 @@ def test_all_checks_every_suite_before_running(tmp_path, capsys, suites, config)
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
-def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    """scipy.stats costs a run about 18 MB and 0.4 s. Neither the CLI import
-    nor the KS checks of kernel-checks and couple at the c12 sizes load it:
-    their p-values come from scipy.special."""
+# the scipy modules a run has loaded, and whether numpy.random is one of the
+# modules: numpy loads it on first use, and a run that left it to then would
+# pay for it inside its first timed suite
+_LOADED = ("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+           "'numpy.random' in sys.modules")
+
+
+def test_runs_load_no_scipy(tmp_path):
+    """scipy.special alone costs every process about 24 MB and 0.19 s of
+    import, and katoflow.special stands in for it.  Neither the CLI import
+    nor a run of all ten suites loads any scipy module; the KS checks of
+    kernel-checks and couple run at sizes whose p-values katoflow computes."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, katoflow.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, katoflow.cli; print({_LOADED})"
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kernel-checks": {"n_ks": 12000},
-                               "couple": {"n_runs": 20000, "t_grid": [0.25, 1.0]}}))
-    run_ks = ("import sys, katoflow.cli; code = katoflow.cli.main(sys.argv[1:]); "
-              "print(code, 'scipy.stats' in sys.modules)")
-    done = subprocess.run(
-        [sys.executable, "-c", run_ks, "all", "--suites", "kernel-checks,couple",
-         "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip().splitlines()[-1] == "0 False"
-
-
-# scipy modules that no run needs: quadrature is katoflow.quadrature and the
-# Duhamel kernel a numpy index
-UNUSED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
-
-
-def test_runs_load_no_scipy_integrate_optimize_linalg_or_sparse(tmp_path):
-    """scipy.integrate, which loads scipy.optimize and scipy.sparse with it,
-    and scipy.linalg cost every process about 26 MB and 0.3 s of import.
-    Neither the CLI import nor a run of all ten suites loads any of them."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    loaded = f"sorted(m for m in {UNUSED_SCIPY!r} if m in sys.modules)"
-    probe = f"import sys, katoflow.cli; print({loaded})"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] True"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "kernel-checks": {"n_ks": 12000},
@@ -538,14 +545,14 @@ def test_runs_load_no_scipy_integrate_optimize_linalg_or_sparse(tmp_path):
         "molecule": {"n_paths": 200},
     }))
     run_all = ("import sys, katoflow.cli; code = katoflow.cli.main(sys.argv[1:]); "
-               f"print({loaded})")
+               f"print({_LOADED})")
     done = subprocess.run(
         [sys.executable, "-c", run_all, "all", "--config", str(cfg), "--seed", "1",
          "--out", str(tmp_path / "o")],
         env=env, capture_output=True, text=True, check=True)
     printed = done.stdout.strip().splitlines()
     assert len([line for line in printed if " verdicts, " in line]) == 10
-    assert printed[-1] == "[]"
+    assert printed[-1] == "[] True"
 
 
 @pytest.mark.parametrize("grid_step", ["0.3", "5", "1e-310"])

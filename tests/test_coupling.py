@@ -46,9 +46,13 @@ def test_tv_closed_form_is_the_normal_cdf():
         assert coupling.total_variation_gaussian(sep, t) == expected
 
 
-def test_ks_normal_is_scipys_kstest_bit_for_bit():
+def test_ks_normal_matches_scipys_kstest():
     """Null and shifted samples through every route: 2*smirnov (n D^2 >= 2.2),
-    Pelz-Good (n D^2 < 2.2), p = 0 (n D^2 >= 370) and, at n <= 140, scipy."""
+    Pelz-Good (n D^2 < 2.2), p = 0 (n D^2 >= 370) and, at n <= 140, scipy.
+    The normal CDF is katoflow.special's, which differs from scipy's in the
+    last bits, so p agrees within 1e-10 relative and D within 1e-14 relative
+    or one ulp of 1: D is i/n minus a CDF value, so it carries that value's
+    absolute rounding (at n = 12 000 a D of 0.0045 moves by 2.5e-14)."""
     rng = np.random.default_rng(19)
     loc, scale = 0.3, 1.7
     routes = []
@@ -57,8 +61,8 @@ def test_ks_normal_is_scipys_kstest_bit_for_bit():
             x = loc + scale * (rng.standard_normal(n) + shift / math.sqrt(n))
             d, p = coupling.ks_normal(x, loc, scale)
             ref = stats.kstest(x, "norm", args=(loc, scale))
-            assert d == ref.statistic
-            assert p == ref.pvalue
+            assert d == pytest.approx(ref.statistic, rel=1e-14, abs=2.0**-52)
+            assert p == pytest.approx(ref.pvalue, rel=1e-10, abs=0)
             if n > 140:
                 routes.append((n * d * d, p))
     assert any(nd2 >= 2.2 for nd2, _p in routes)
