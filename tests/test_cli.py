@@ -520,11 +520,34 @@ _LOADED = ("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
            "'numpy.random' in sys.modules")
 
 
-def test_runs_load_no_scipy(tmp_path):
-    """scipy.special alone costs every process about 24 MB and 0.19 s of
-    import, and katoflow.special stands in for it.  Neither the CLI import
-    nor a run of all ten suites loads any scipy module; the KS checks of
-    kernel-checks and couple run at sizes whose p-values katoflow computes."""
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    """scipy.stats costs a run about 18 MB and 0.4 s, and scipy.special about
+    24 MB and 0.19 s more. Neither the CLI import nor the KS checks of
+    kernel-checks and couple at the c12 sizes load any scipy module: their
+    p-values come from katoflow.special."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = f"import sys, katoflow.cli; print({_LOADED})"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[] True"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel-checks": {"n_ks": 12000},
+                               "couple": {"n_runs": 20000, "t_grid": [0.25, 1.0]}}))
+    run_ks = ("import sys, katoflow.cli; code = katoflow.cli.main(sys.argv[1:]); "
+              f"print(code, {_LOADED})")
+    done = subprocess.run(
+        [sys.executable, "-c", run_ks, "all", "--suites", "kernel-checks,couple",
+         "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "0 [] True"
+
+
+def test_runs_load_no_scipy_integrate_optimize_linalg_or_sparse(tmp_path):
+    """scipy.integrate, which loads scipy.optimize and scipy.sparse with it,
+    and scipy.linalg cost every process about 26 MB and 0.3 s of import, and
+    katoflow.special stands in for scipy.special. Neither the CLI import nor
+    a run of all ten suites loads any scipy module."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = f"import sys, katoflow.cli; print({_LOADED})"
