@@ -192,11 +192,11 @@ def _exact_rows(space, pairs, value):
 
 def _worst_pair(rows, alpha, norm):
     """(sup |difference| / (d^alpha norm), its stderr on that scale, its pair)
-    over rows (x, y, d, |difference|, stderr); the pair is None when every
-    quotient is 0.  A NaN quotient is returned as the sup, so a pair without
-    an estimate is never passed over."""
+    over rows (x, y, d, |difference|, stderr, ...); the pair is None when
+    every quotient is 0.  A NaN quotient is returned as the sup, so a pair
+    without an estimate is never passed over."""
     best, best_se, witness = 0.0, 0.0, None
-    for x, y, dist, diff, se in rows:
+    for x, y, dist, diff, se, *_rest in rows:
         scale = dist**alpha * norm
         q = diff / scale
         if math.isnan(q):
@@ -307,9 +307,10 @@ def corollary_B_constant(vj_terms, vij_terms, K, alpha, t):
 
 
 def _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers):
-    """(x, y, d, |difference|, stderr) per pair with d(x, y) > 0, where the
-    difference of e^{-tH_V}Phi at x and y is one coupled Feynman-Kac
-    estimate: both legs share the pair's Brownian increments.
+    """(x, y, d, |difference|, stderr, flags) per pair with d(x, y) > 0, where
+    the difference of e^{-tH_V}Phi at x and y is one coupled Feynman-Kac
+    estimate, whose flags the row keeps: both legs share the pair's
+    Brownian increments.
 
     Pair i of ``pairs`` draws from substream (seed, i).  The ``workers`` split
     the pairs, so each estimate runs its chunks in turn and the rows do not
@@ -322,11 +323,10 @@ def _fk_pair_rows(V, phi, t, pairs, n_paths, seed, workers):
             V, phi, np.array([x, y], dtype=float), t, n_paths,
             seed=streams.combine_seed(seed, i), workers=1,
         )
-        return float(abs(est.value[2])), float(est.stderr[2])
+        return float(abs(est.value[2])), float(est.stderr[2]), est.flags
 
     diffs = streams.map_ordered(difference, separated, workers)
-    return [(x, y, dist, diff, se)
-            for (_i, x, y, dist), (diff, se) in zip(separated, diffs)]
+    return [(x, y, dist, *diff) for (_i, x, y, dist), diff in zip(separated, diffs)]
 
 
 def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, workers=1):
@@ -364,8 +364,9 @@ def verify_main_theorem(V, phi, alpha, t, pairs=None, n_paths=20_000, seed=0, wo
             "lhs": lhs,
             "rhs": cap * phi.sup_norm * dist**alpha,
             "stderr": se,
+            "flags": flags,
         }
-        for x, y, dist, lhs, se in pair_rows
+        for x, y, dist, lhs, se, flags in pair_rows
     ]
     verdicts = {one_sided_verdict(r["lhs"], r["rhs"], r["stderr"], 0.0) for r in rows}
     worst_q, witness_se, witness = _worst_pair(pair_rows, alpha, phi.sup_norm)

@@ -610,6 +610,24 @@ def _fields(where, schema, supplied):
     return params
 
 
+def _check_points(suite, params, psi_key, start_key):
+    """Refuse a ball ``psi_key`` whose center has neither length 1 nor the
+    length of the potential's points, and a start ``start_key``, unless it
+    is None, of another length than those points."""
+    dim = _potential_from(params["potential"]).space.embedding_dim
+    psi = _psi_from(params[psi_key])
+    if isinstance(psi, functions.BallIndicator) and psi.center.size not in (1, dim):
+        raise ConfigError(
+            f"{suite}.{psi_key}'s ball center {psi.center.tolist()!r} must have "
+            f"length 1 or the potential's dimension {dim}"
+        )
+    if start_key is not None and len(params[start_key]) != dim:
+        raise ConfigError(
+            f"{suite}.{start_key} = {params[start_key]!r} must have the "
+            f"potential's dimension {dim}"
+        )
+
+
 def _validate(suite, supplied):
     params = _fields(suite, SUITES[suite][1], supplied)
     # the coupling simulators draw tau on the grid of grid_step up to the
@@ -639,15 +657,10 @@ def _validate(suite, supplied):
         raise ConfigError(
             f"couple.alpha_grid = {params['alpha_grid']!r} must lie in (0, 1]"
         )
-    # a ball center of length other than 1 must have V's dimension
     if suite == "theorem":
-        dim = _potential_from(params["potential"]).space.dimension
-        phi = _psi_from(params["phi"])
-        if isinstance(phi, functions.BallIndicator) and phi.center.size not in (1, dim):
-            raise ConfigError(
-                f"theorem.phi's ball center {phi.center.tolist()!r} must have "
-                f"length 1 or the potential's dimension {dim}"
-            )
+        _check_points(suite, params, "phi", None)
+    if suite == "fk":
+        _check_points(suite, params, "psi", "x")
     # the suite's classification expects a molecule in K^alpha iff alpha < 1
     if suite == "molecule" and not all(0 <= a < 1 for a in params["alpha_grid"]):
         raise ConfigError(

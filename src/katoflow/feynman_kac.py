@@ -29,6 +29,8 @@ _MAX_SUBDIVISIONS = 2**20  # Khashminskii splits of [0, r] tried before giving u
 _NEAR_FACTOR = 4.0  # refine when dist(endpoint, singularity) < 4*sqrt(2*delta)
 _TOL = 5e-5  # refine an interval while its midpoint moves the trapezoid by more
 _MAX_DEPTH = 16  # bridge refinement levels below the path grid
+_BUMP_STRIDE = 5  # the path controls visit skeleton nodes 5, 10, ..., n_steps
+_BUMP_WIDTH = 0.25  # a bump's width a is a quarter of sqrt(2t), the path's spread
 
 
 @dataclass
@@ -182,6 +184,65 @@ def _chunk_actions(V, pts, h, rng, tol, max_depth):
     return ends, action, n_leaves
 
 
+def _gaussian(pts, center, width):
+    """exp(-|pts - center|^2 / 2 width^2) over the last axis of ``pts``, with
+    the squares added column by column, as spaces._row_distances adds them."""
+    sq = pts[..., 0] - center[0]
+    sq *= sq
+    for k in range(1, pts.shape[-1]):
+        col = pts[..., k] - center[k]
+        col *= col
+        sq += col
+    sq *= -0.5 / (width * width)
+    return np.exp(sq, out=sq)
+
+
+def _path_controls(pts, bumps, a, stand_in):
+    """The rows (G, S G) of the path controls of paths ``pts`` of shape
+    (size, n_steps + 1, dim): G = exp(-|X_t - c|^2 / 2b^2) is the ball's
+    Gaussian stand-in (c, b) at each path's end, and S the sum of the bumps
+    exp(-|X_k - R|^2 / 2a^2) over the centers R of ``bumps`` and the nodes
+    k = 5, 10, ..., n_steps."""
+    c, b = stand_in
+    g = _gaussian(pts[:, -1, :], c, b)
+    nodes = pts[:, _BUMP_STRIDE::_BUMP_STRIDE, :]
+    s = np.zeros(pts.shape[0])
+    for r in bumps:
+        s += _gaussian(nodes, r, a).sum(axis=1)
+    s *= g
+    return np.stack((g, s))
+
+
+def _path_control_means(x, times, t, bumps, a, stand_in):
+    """The exact means (E G, E S G) of the path controls from x, S's nodes at
+    ``times``.  With X = x + W, W of variance 2s per coordinate at time s,
+    B^2 = b^2 + 2(t - s), P = 1/a^2 + 1/B^2, m = (R/a^2 + c/B^2)/P and
+    q = 1 + 2sP, the bump at (s, R) times G has the mean
+
+        (b^2/B^2)^{D/2} q^{-D/2} exp(-|R - c|^2 / 2(a^2 + B^2))
+            exp(-P |x - m|^2 / 2q),
+
+    and E G = (b^2/(b^2 + 2t))^{D/2} exp(-|x - c|^2 / 2(b^2 + 2t))."""
+    c, b = stand_in
+    half_dim = x.size / 2.0
+    b2, a2 = b * b, a * a
+    off, end2 = x - c, b2 + 2.0 * t
+    mean_g = (b2 / end2) ** half_dim * math.exp(-(off @ off) / (2.0 * end2))
+    big2 = b2 + 2.0 * (t - times)
+    prec = 1.0 / a2 + 1.0 / big2
+    q = 1.0 + 2.0 * times * prec
+    scale = (b2 / (big2 * q)) ** half_dim
+    mean_sg = 0.0
+    for r in bumps:
+        rc = r - c
+        m = (r / a2 + c / big2[:, None]) / prec[:, None]
+        dm = x - m
+        mean_sg += float(np.sum(
+            scale * np.exp(-(rc @ rc) / (2.0 * (a2 + big2))
+                           - prec * (dm * dm).sum(axis=1) / (2.0 * q))))
+    return mean_g, mean_sg
+
+
 def _grid_steps(t, grid_step):
     """Number of path steps on [0, t]; grid_step None means t/100."""
     if grid_step is None:
@@ -230,9 +291,13 @@ def fk_evaluate(
     both legs' controls, and its variance is that of the regression
     residuals over n (Glasserman 2004, Monte Carlo Methods in Financial
     Engineering, 4.1).  The control removes the free part psi(x + W_t) -
-    psi(y + W_t) of a pair's noise and leaves the perturbation's.  Without
-    a free mean there is no control, and the estimate is the plain mean of
-    the weights.
+    psi(y + W_t) of a pair's noise and leaves the perturbation's.  Two path
+    controls of exact mean per leg see the perturbation along the path:
+    psi's Gaussian stand-in G at the path's end, and G times the sum S of
+    Gaussian bumps at V's sup_candidates over the skeleton nodes k = 5, 10,
+    ..., n_steps (_path_controls, _path_control_means).  They draw no random
+    number.  Without a free mean there is no control, and the estimate is
+    the plain mean of the weights.
 
     V is admitted, and its weight bound found, by _weight_bound.  Each leg
     of a psi with a sup norm is checked against that bound, and one that
@@ -253,6 +318,20 @@ def fk_evaluate(
     mu = [free_mean(space, p, t) for p in starts]
     if None in mu:
         mu = []  # no control: the regression is the plain mean
+    n_free = len(mu)
+    if mu:
+        stand_in = psi.gaussian_stand_in(space)
+        bumps = [np.asarray(r, dtype=float) for r in V.sup_candidates()]
+        a = _BUMP_WIDTH * math.sqrt(2.0 * t)
+        times = grid_step * np.arange(_BUMP_STRIDE, n_steps + 1, _BUMP_STRIDE)
+        mu += [m for p in starts
+               for m in _path_control_means(p, times, t, bumps, a, stand_in)]
+
+    def path_controls(pts):
+        """The path control rows of one leg, none without a free mean."""
+        if not n_free:
+            return np.empty((0, pts.shape[0]))
+        return _path_controls(pts, bumps, a, stand_in)
 
     def walk(rng, size):
         return paths.sample_paths_batch(space, starts[0], t, grid_step, size, rng)[1]
@@ -265,20 +344,25 @@ def fk_evaluate(
     def chunk(rng, size, _k):
         if pair:
             pts = walk(rng, size)
+            path_x = path_controls(pts)
             ends, action, n_x = _chunk_actions(V, pts, grid_step, rng, _TOL, _MAX_DEPTH)
             w_x, c_x = weights(ends, action)
             space.carry(pts, x[0], x[1])
+            path_y = path_controls(pts)
             ends, action, n_y = _chunk_actions(V, pts, grid_step, rng, _TOL, _MAX_DEPTH)
             w_y, c_y = weights(ends, action)
             w, c, n_leaves = np.stack((w_x, w_y, w_x - w_y)), np.stack((c_x, c_y)), n_x + n_y
+            path = np.concatenate((path_x, path_y))
         else:
-            # the skeleton goes straight to _chunk_actions, which frees it
-            # before refining
+            # _chunk_actions frees the skeleton before refining, so it gets
+            # the only reference, once the path controls are formed
+            skeleton = [walk(rng, size)]
+            path = path_controls(skeleton[0])
             ends, action, n_leaves = _chunk_actions(
-                V, walk(rng, size), grid_step, rng, _TOL, _MAX_DEPTH
+                V, skeleton.pop(), grid_step, rng, _TOL, _MAX_DEPTH
             )
-            w, c = (a[None, :] for a in weights(ends, action))
-        return np.concatenate((w, c[:len(mu)])), n_leaves
+            w, c = (r[None, :] for r in weights(ends, action))
+        return np.concatenate((w, c[:n_free], path)), n_leaves
 
     parts = streams.map_chunks(chunk, n_paths, seed, streams.TAG_FK, workers=workers)
     n, value, stderr = streams.merge((p[0] for p in parts), mu)

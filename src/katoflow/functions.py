@@ -4,7 +4,8 @@ Everything here is a batch callable: input of shape (n, d) (or (n,) scalars
 for 1d spaces) maps to an (n,) array. ``sup_norm`` is declared, and 1d
 functions expose ``breakpoints`` so quadrature can split at discontinuities.
 A function that knows its exact free heat flow exposes ``free_mean``, which
-the Feynman-Kac estimator uses as a control variate.
+the Feynman-Kac estimator uses as a control variate, and
+``gaussian_stand_in``, the Gaussian behind its path controls.
 """
 
 
@@ -13,6 +14,8 @@ import numpy as np
 from . import special
 from .errors import InvalidPointError, KatoflowError
 from .spaces import Euclidean
+
+_STAND_IN_WIDTH = 0.7  # a ball of radius r stands in as a Gaussian of width 0.7 r
 
 
 class BatchFunction:
@@ -97,6 +100,15 @@ class BallIndicator(BatchFunction):
         off = self._offsets(np.atleast_1d(np.asarray(x, dtype=float)))
         return special.chndtr(self.radius**2 / (2.0 * t), space.dimension,
                               float(off @ off) / (2.0 * t))
+
+    def gaussian_stand_in(self, space):
+        """(c, b): the Gaussian exp(-|x - c|^2 / 2b^2) that stands in for the
+        ball in the Feynman-Kac path controls, with c of the space's
+        dimension and b = 0.7 r.  None where free_mean is None."""
+        if not isinstance(space, Euclidean):
+            return None
+        center = np.broadcast_to(self.center, (space.dimension,)).copy()
+        return center, _STAND_IN_WIDTH * self.radius
 
 
 class TanhRamp(BatchFunction):

@@ -5,7 +5,8 @@
 Binomial and Poisson masses are evaluated by Loader's (2000) saddle-point
 form, exp(-stirlerr - bd0) / sqrt(2 pi x), which keeps their relative error
 near machine precision where a difference of log-gammas would lose up to
-ten digits at n = 10^5.
+ten digits at n = 10^5.  A run of Poisson masses takes that form once, at
+its largest mass, and the ratios of neighbouring masses from there.
 """
 
 import math
@@ -47,19 +48,40 @@ def ndtr(a):
 # ---------------------------------------------------------------------------
 
 
+def _stirlerr_small(n):
+    """Stirling's error at one n <= 15, from log Gamma."""
+    return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LN_SQRT_2PI
+
+
+def _stirlerr_series(n):
+    """Stirling's error at n > 15 (a float or an array), by its asymptotic
+    series."""
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn)
+                                 / nn) / nn) / nn) / n
+
+
 def _stirlerr(n):
     """log(n! sqrt(2 pi n)^-1 (e/n)^n), the error of Stirling's formula, for
     an array of n > 0: directly below 15, by its asymptotic series above."""
     n = np.asarray(n, dtype=float)
     out = np.empty_like(n)
     small = n <= 15.0
-    out[small] = [math.lgamma(v + 1.0) - (v + 0.5) * math.log(v) + v - _LN_SQRT_2PI
-                  for v in n[small].tolist()]
-    big = n[~small]
-    nn = big * big
-    out[~small] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn)
-                                        / nn) / nn) / nn) / big
+    out[small] = [_stirlerr_small(v) for v in n[small].tolist()]
+    out[~small] = _stirlerr_series(n[~small])
     return out
+
+
+def _bd0_series(x, diff, v):
+    """x log(x/m) + m - x from diff = x - m and v = diff / (x + m), |v| < 0.1,
+    for floats or arrays: the eleventh term is below 1e-22 of the sum."""
+    s = diff * v
+    ej = 2.0 * x * v
+    v2 = v * v
+    for j in range(1, 12):
+        ej = ej * v2
+        s = s + ej / (2 * j + 1)
+    return s
 
 
 def _bd0(x, m):
@@ -71,22 +93,37 @@ def _bd0(x, m):
     out = np.empty_like(x)
     xf, mf = x[~near], m[~near]
     out[~near] = xf * np.log(xf / mf) + mf - xf
-    xn, dn = x[near], diff[near]
-    v = dn / (x[near] + m[near])
-    s = dn * v
-    ej = 2.0 * xn * v
-    v2 = v * v
-    for j in range(1, 12):  # |v| < 0.1: the eleventh term is below 1e-22 of s
-        ej = ej * v2
-        s = s + ej / (2 * j + 1)
-    out[near] = s
+    out[near] = _bd0_series(x[near], diff[near], diff[near] / (x[near] + m[near]))
     return out
 
 
 def _poisson_mass(x, mu):
-    """mu^x e^-mu / Gamma(x + 1) for an array of x > 0 and mu > 0."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-_stirlerr(x) - _bd0(x, mu)) / np.sqrt(2.0 * math.pi * x)
+    """mu^x e^-mu / Gamma(x + 1) for one x > 0 and mu > 0."""
+    stirlerr = _stirlerr_small(x) if x <= 15.0 else _stirlerr_series(x)
+    diff = x - mu
+    if abs(diff) < 0.1 * (x + mu):
+        bd0 = _bd0_series(x, diff, diff / (x + mu))
+    else:
+        bd0 = x * math.log(x / mu) + mu - x
+    return math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * x)
+
+
+def _poisson_masses(v0, n, mu):
+    """The masses mu^v e^-mu / Gamma(v + 1) at v = v0, v0 + 1, ..., v0 + n,
+    for v0 >= 0 and mu > 0: Loader's form at the v nearest mu, and from
+    there the ratios mu / v of neighbouring masses, each below 1, so a mass
+    far from mu underflows rather than overflows."""
+    j = min(max(round(mu - v0), 0), n)
+    peak = math.exp(-mu) if v0 + j == 0 else _poisson_mass(v0 + j, mu)
+    out = np.empty(n + 1)
+    out[j] = peak
+    out[j + 1:] = mu / (v0 + np.arange(j + 1, n + 1))
+    out[j:] = np.cumprod(out[j:])
+    if j:
+        down = (v0 + np.arange(j, 0, -1)) / mu
+        down[0] *= peak
+        out[:j] = np.cumprod(down)[::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +173,7 @@ def chndtr(x, k, lam):
     sum of positive terms g_i W_i, W_i the Poisson(lam/2) CDF at i (Ding
     1992, AS 275). Terms are kept up to 12 standard deviations and 60
     beyond the larger of x/2 and lam/2; past that they are below 1e-30 of
-    the sum."""
+    the sum.  Both runs of masses come from _poisson_masses."""
     x, k, lam = float(x), float(k), float(lam)
     if math.isnan(x + k + lam):
         return math.nan
@@ -146,11 +183,8 @@ def chndtr(x, k, lam):
         return 1.0
     y, mu = 0.5 * x, 0.5 * lam
     top = max(y, mu)
-    i = np.arange(0.0, math.ceil(top + 12.0 * math.sqrt(top) + 60.0) + 1)
-    g = _poisson_mass(0.5 * k + i, y)
+    n = math.ceil(top + 12.0 * math.sqrt(top) + 60.0)
+    g = _poisson_masses(0.5 * k, n, y)
     if mu > 0.0:
-        p = np.empty_like(i)
-        p[0] = math.exp(-mu)
-        p[1:] = _poisson_mass(i[1:], mu)
-        g *= np.minimum(np.cumsum(p), 1.0)
+        g *= np.minimum(np.cumsum(_poisson_masses(0.0, n, mu)), 1.0)
     return min(math.fsum(g.tolist()), 1.0)

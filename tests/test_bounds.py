@@ -353,3 +353,18 @@ def test_theorem_with_non_finite_weights_is_inconclusive():
                                        0.5, pairs=pairs, n_paths=256, seed=1)
     assert math.isnan(check.measured)
     assert check.verdict == "inconclusive"
+
+
+def test_theorem_rows_keep_their_pairs_flags():
+    """Each theorem row carries its pair estimate's flags: none for the
+    ball, and the weight-bound warning for a Phi whose sup norm is
+    understated, so its legs exceed C_exp(V, t) times it."""
+    pairs = [(np.array([0.25, 0.0, 0.0]), np.array([0.75, 0.0, 0.0]))]
+    understated = functions.Constant(1.0)
+    understated.sup_norm = 0.01
+    flags = []
+    for phi in (functions.BallIndicator(np.zeros(3), 1.0), understated):
+        check = bounds.verify_main_theorem(HYDROGEN, phi, 0.5, 0.5, pairs=pairs,
+                                           n_paths=128, seed=2)
+        flags.append([row["flags"] for row in check.details["rows"]])
+    assert flags == [[[]], [["integration_bias_warning"]]]

@@ -144,6 +144,9 @@ def test_bad_molecule_file_exits_2(tmp_path, capsys, content):
     ("couple", "alpha_grid=[0]"),  # the ladder's statement (iii) needs alpha in (0, 1]
     # a ball center of length 2 against hydrogen's R^3
     ("theorem", 'phi={"type":"ball","center":[1,1],"radius":1}'),
+    # a ball center of length 2, and the default start [0.0], against R^1 and R^3
+    ("fk", 'psi={"type":"ball","center":[1,1],"radius":1}'),
+    ("fk", 'potential={"type":"hydrogen"}'),
 ])
 def test_list_errors_exit_2_before_any_suite_runs(tmp_path, monkeypatch, suite, override):
     def refuse(*_args):
@@ -659,3 +662,16 @@ def test_rows_that_cannot_fail_are_categorical(suite, config, reason):
     unfailing = [c for c in checks if c.details.get("reason") == reason]
     assert len(unfailing) == 1
     assert unfailing[0].sidedness == CATEGORICAL and unfailing[0].verdict == HOLDS
+
+
+def test_theorem_records_keep_each_pairs_flags(tmp_path):
+    """A run directory gives back each theorem pair's estimator flags: every
+    row of a Feynman-Kac theorem record has its list."""
+    out = tmp_path / "o"
+    assert run(["theorem", "--seed", "1", "--out", str(out),
+                "--set", "n_paths=64", "--set", "t_grid=[0.5]"]) == 0
+    records = [r for r in _strict_json_lines(out / "records.ndjson")
+               if r["parameters"]["potential"] != "zero"]
+    assert len(records) == 1
+    rows = records[0]["details"]["rows"]
+    assert len(rows) == 21 and all(row["flags"] == [] for row in rows)

@@ -585,6 +585,7 @@ def test_pair_on_the_sphere_is_carried_by_a_rotation():
 
 BALL = functions.BallIndicator(np.zeros(3), 1.0)
 OFF_AXIS = np.array([[0.3, 0.4, 0.0], [0.8, 0.4, 0.0]])
+NUCLEUS = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
 
 
 @pytest.fixture(scope="module")
@@ -592,6 +593,14 @@ def off_axis_reference():
     """The off-axis pair's difference from 400 000 controlled paths: its
     stderr is a twentieth of a 1 000-path run's."""
     return fk.fk_evaluate(HYDROGEN, BALL, OFF_AXIS, 0.5, 400_000, seed=(2, 400_000))
+
+
+@pytest.fixture(scope="module")
+def nucleus_reference():
+    """The difference of a pair with one end on the nucleus from 200 000
+    controlled paths: its stderr is a fourteenth of a 1 000-path run's."""
+    return fk.fk_evaluate(HYDROGEN, BALL, NUCLEUS, 0.5, 200_000, seed=(3, 200_000),
+                          workers=2)
 
 
 def _ball_pair_z(pair, exact, seeds=range(100)):
@@ -603,26 +612,33 @@ def _ball_pair_z(pair, exact, seeds=range(100)):
     np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]),
     np.array([[-0.125, 0.0, 0.0], [0.125, 0.0, 0.0]]),
     OFF_AXIS,
-], ids=["d=1", "d=1/4", "off-axis"])
-def test_controlled_pair_difference_is_calibrated(pair, off_axis_reference):
-    """A ball pair regresses its weights on both legs' controls.  Over 100
-    seeds of 1 000 paths the z of the difference has mean within 0.3 and sd
-    within [0.8, 1.2]: against 0 for a pair mirrored through the nucleus,
-    where e^{-tH_V}1_B is radial, and against the 400 000-path reference off
-    the axis.  The regression is linear, so value[2] = value[0] - value[1]."""
-    exact = off_axis_reference.value[2] if pair is OFF_AXIS else 0.0
+    NUCLEUS,
+], ids=["d=1", "d=1/4", "off-axis", "nucleus"])
+def test_controlled_pair_difference_is_calibrated(pair, request):
+    """A ball pair regresses its weights on both legs' controls: Phi(X_t)
+    and the path controls G and S G.  Over 100 seeds of 1 000 paths the z of
+    the difference has mean within 0.3 and sd within [0.8, 1.2]: against 0
+    for a pair mirrored through the nucleus, where e^{-tH_V}1_B is radial,
+    and against a high-path reference for the others.  The regression is
+    linear, so value[2] = value[0] - value[1]."""
+    exact = 0.0
+    if pair is OFF_AXIS:
+        exact = request.getfixturevalue("off_axis_reference").value[2]
+    elif pair is NUCLEUS:
+        exact = request.getfixturevalue("nucleus_reference").value[2]
     ests, z = _ball_pair_z(pair, exact)
     assert abs(z.mean()) <= 0.3
     assert 0.8 <= z.std() <= 1.2
     for est in ests:
         assert est.value[2] == pytest.approx(est.value[0] - est.value[1], abs=1e-12)
-    if pair[1, 0] == 0.5:
-        # at d = 1 the free part is most of the noise: the control removes
-        # at least three quarters of the variance
+    if pair[1, 0] == 0.5 and pair[0, 0] == -0.5:
+        # at d = 1 the free part is most of the noise: Phi(X_t) alone cuts
+        # the stderr to about a third, and the path controls, which see the
+        # perturbation along the path, to below a quarter
         plain = [fk.fk_evaluate(HYDROGEN, BALL.__call__, pair, 0.5, 1_000, seed=s)
                  for s in range(100)]
         assert (np.mean([est.stderr[2] for est in ests])
-                <= 0.5 * np.mean([est.stderr[2] for est in plain]))
+                <= 0.25 * np.mean([est.stderr[2] for est in plain]))
 
 
 def test_controlled_pair_with_the_free_mean_at_twice_the_time_fails(
@@ -637,6 +653,64 @@ def test_controlled_pair_with_the_free_mean_at_twice_the_time_fails(
     assert not (abs(z.mean()) <= 0.3 and 0.8 <= z.std() <= 1.2)
 
 
+def test_controlled_pair_with_path_control_means_at_twice_the_time_fails(
+        monkeypatch, off_axis_reference):
+    """Negative control: the path controls' means taken at 2t bias the
+    off-axis pair's difference, and its z fails the calibration above."""
+    means = fk._path_control_means
+    monkeypatch.setattr(fk, "_path_control_means",
+                        lambda x, times, t, *rest: means(x, 2.0 * times, 2.0 * t, *rest))
+    _ests, z = _ball_pair_z(OFF_AXIS, off_axis_reference.value[2])
+    assert not (abs(z.mean()) <= 0.3 and 0.8 <= z.std() <= 1.2)
+
+
+@pytest.mark.parametrize("dim, s", [(3, 0.2), (3, 0.5), (6, 0.3), (6, 0.5)],
+                         ids=["D=3", "D=3,s=t", "D=6", "D=6,s=t"])
+def test_path_control_means_match_gaussian_draws(dim, s):
+    """The closed forms of E G and E[bump(X_s) G] at t = 0.5 against 10^6
+    draws of (X_s, X_t), X = x + W of variance 2s per coordinate, within 4
+    standard errors.  The ball's center has length 1, so it stands for
+    (0.1, ..., 0.1)."""
+    t, n, block = 0.5, 1_000_000, 100_000
+    c, b = functions.BallIndicator(0.1, 1.0).gaussian_stand_in(spaces.euclidean(dim))
+    np.testing.assert_array_equal(c, np.full(dim, 0.1))
+    x, bump = np.linspace(0.3, -0.2, dim), np.linspace(-0.1, 0.2, dim)
+    a = fk._BUMP_WIDTH * math.sqrt(2.0 * t)
+    rng = np.random.default_rng(dim)
+    sums = np.zeros((2, 2))  # (G, bump G) by (sum, sum of squares)
+    for _ in range(n // block):
+        xs = x + math.sqrt(2.0 * s) * rng.standard_normal((block, dim))
+        xt = xs + math.sqrt(2.0 * (t - s)) * rng.standard_normal((block, dim))
+        g = fk._gaussian(xt, c, b)
+        for row, draws in enumerate((g, fk._gaussian(xs, bump, a) * g)):
+            sums[row] += draws.sum(), (draws * draws).sum()
+    mean = sums[:, 0] / n
+    se = np.sqrt((sums[:, 1] / n - mean * mean) / n)
+    exact = fk._path_control_means(x, np.array([s]), t, [bump], a, (c, b))
+    assert np.all(np.abs(mean - exact) <= 4.0 * se), (mean, exact, se)
+
+
+def test_path_controls_are_finite_on_the_nucleus(monkeypatch):
+    """A start on the nucleus, where V is -inf, gives finite control rows of
+    finite mean that vary, and a finite estimate: the Gaussians are bounded."""
+    seen, merge = [], streams.merge
+
+    def kept(parts, mu):
+        parts = list(parts)
+        seen.append((parts, mu))
+        return merge(parts, mu)
+
+    monkeypatch.setattr(streams, "merge", kept)
+    for x in (np.zeros(3), NUCLEUS):
+        est = fk.fk_evaluate(HYDROGEN, BALL, x, 0.5, 1024, seed=6)
+        assert np.all(np.isfinite(est.value)) and np.all(np.isfinite(est.stderr))
+    for parts, mu in seen:
+        assert len(mu) in (3, 6)  # Phi, G and S G for each leg
+        assert np.all(np.isfinite(mu))
+        controls = np.concatenate([rows[len(rows) - len(mu):] for rows in parts], axis=1)
+        assert np.all(np.isfinite(controls)) and np.all(np.ptp(controls, axis=1) > 0)
+
+
 @pytest.mark.parametrize("ball", [
     functions.BallIndicator(np.array([20.0, 0.0, 0.0]), 1.0),
     functions.BallIndicator(np.zeros(3), 50.0),
@@ -644,14 +718,26 @@ def test_controlled_pair_with_the_free_mean_at_twice_the_time_fails(
 @pytest.mark.parametrize("x", [
     np.array([0.5, 0.0, 0.0]), np.array([[0.5, 0.0, 0.0], [0.0, 0.75, 0.0]]),
 ], ids=["start", "pair"])
-def test_control_that_never_varies_gives_the_plain_estimate(ball, x):
-    """Paths that never reach the ball, or never leave it, give a control
-    of zero covariance: the pseudo-inverse gives it no weight, and the
-    estimate is bit for bit the plain one."""
+def test_control_that_never_varies_gives_the_plain_estimate(ball, x, monkeypatch):
+    """Paths that never reach the ball, or never leave it, give a Phi
+    control of zero covariance: the pseudo-inverse gives it no weight, so
+    moving its free mean leaves every bit of the estimate.  A ball never
+    reached gives weights 0, which no control moves: the estimate is bit for
+    bit the plain one.  Paths in a ball never left still move its Gaussian
+    stand-in, so there the path controls move the estimate off the plain
+    one."""
     est = fk.fk_evaluate(HYDROGEN, ball, x, 0.5, 512, seed=4)
+    free_mean = functions.BallIndicator.free_mean
+    monkeypatch.setattr(functions.BallIndicator, "free_mean",
+                        lambda self, space, p, t: free_mean(self, space, p, t) - 0.5)
+    moved = fk.fk_evaluate(HYDROGEN, ball, x, 0.5, 512, seed=4)
+    np.testing.assert_array_equal(moved.value, est.value)
+    np.testing.assert_array_equal(moved.stderr, est.stderr)
     plain = fk.fk_evaluate(HYDROGEN, ball.__call__, x, 0.5, 512, seed=4)
-    np.testing.assert_array_equal(est.value, plain.value)
-    np.testing.assert_array_equal(est.stderr, plain.stderr)
-    if ball.radius == 50.0:  # the weights still vary: not a comparison of zeros
+    if ball.radius == 1.0:
+        np.testing.assert_array_equal(est.value, plain.value)
+        np.testing.assert_array_equal(est.stderr, plain.stderr)
+    else:  # the weights still vary: not a comparison of zeros
         assert np.all(np.asarray(est.stderr) > 0)
+        assert np.all(np.asarray(est.value) != np.asarray(plain.value))
 
